@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,17 @@ def _fmt(x: float) -> str:
     if x == 0:
         x = 0.0  # never emit -0
     return format(x, ".17g")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _read_payload(args):
@@ -331,16 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mgf", "closed-form MGF sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--s-grid", dest="s_grid", required=True, help="start:stop:step")
 
     p = add("density", "secant-family density sweep (base law, or order n with --n)")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--x-grid", dest="x_grid", required=True, help="start:stop:step")
     p.add_argument("--n", type=int, default=None)
 
     p = add("sample", "draw from the base law (one sample per line)")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 

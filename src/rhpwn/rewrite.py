@@ -14,6 +14,11 @@ annihilation degree of the pending factor strictly decreases along both
 branches, so reduction terminates; the result is a linear combination of
 creator monomials applied to Phi with mu-polynomial coefficients.
 
+Each reduction memoizes the action of B[n,k](f) on a creator monomial, keyed
+on (n, k, f, monomial), for as long as the reduction runs.  Its step count
+is the number of such actions actually computed, so repeated sub-reductions
+cost one dict lookup and no step.
+
 Truncated (order n >= 1): states live in the number-vector basis
 {(B[n,0])^k Phi} and only the three generators of the order-n algebra act:
 
@@ -146,13 +151,25 @@ def _insert_creator(mono, m, fn):
 
 
 class _Reducer:
-    """Recursive normal-form computation with a step counter."""
+    """Recursive normal-form computation, memoized, with a step counter.
+
+    The memo lives as long as the reducer, i.e. one reduction.  Its result
+    dicts are shared between callers and are only ever read.
+    """
 
     def __init__(self):
         self.steps = 0
+        self.memo = {}
 
     def apply_generator(self, n, k, fn, mono):
         """Apply B[n,k](fn) to one creator monomial; returns {monomial: MuPoly}."""
+        key = (n, k, fn, mono)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self._expand(n, k, fn, mono)
+        return out
+
+    def _expand(self, n, k, fn, mono):
         self.steps += 1
         if fn.is_zero or n < 0 or k < 0:
             return {}
@@ -190,7 +207,12 @@ class _Reducer:
 
 
 def reduce_untruncated_with_stats(word: Word):
-    """Normal form of `word` applied to Phi, plus the rewrite-step count."""
+    """Normal form of `word` applied to Phi, plus the rewrite-step count.
+
+    The step count is the number of distinct sub-reductions B[n,k](f) applied
+    to a creator monomial that were actually computed; repeats are served
+    from the reduction's memo and not counted.
+    """
     reducer = _Reducer()
     terms = {(): MuPoly.one()}
     for idx, fn in reversed(tuple(word)):

@@ -173,4 +173,3 @@ class ComplexRational:
 
 QC_ZERO = ComplexRational(0)
 QC_ONE = ComplexRational(1)
-QC_I = ComplexRational(0, 1)

@@ -15,10 +15,6 @@ def _coeff(a, j) -> MuPoly:
     return a[j] if j < len(a) else MuPoly.zero()
 
 
-def series_add(a, b, order: int):
-    return [_coeff(a, j) + _coeff(b, j) for j in range(order + 1)]
-
-
 def series_scale(a, c, order: int):
     return [_coeff(a, j).scaled(c) for j in range(order + 1)]
 
@@ -30,21 +26,6 @@ def series_mul(a, b, order: int):
             continue
         for j in range(min(len(b), order + 1 - i)):
             out[i + j] = out[i + j] + a[i] * b[j]
-    return out
-
-
-def series_pow(a, k: int, order: int):
-    out = [MuPoly.one()] + [MuPoly.zero()] * order
-    for _ in range(k):
-        out = series_mul(out, a, order)
-    return out
-
-
-def series_integrate(a, order: int):
-    """Antiderivative with zero constant term."""
-    out = [MuPoly.zero()]
-    for j in range(order):
-        out.append(_coeff(a, j).scaled(Fraction(1, j + 1)))
     return out
 
 

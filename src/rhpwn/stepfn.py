@@ -23,13 +23,13 @@ from fractions import Fraction
 
 from .errors import TagMismatchError
 from .mupoly import MuPoly
-from .scalars import ComplexRational, fraction_str, parse_fraction
+from .scalars import ComplexRational, QC_ZERO, fraction_str, parse_fraction
 
 
 class StepFunction:
     """Immutable, canonical piecewise-constant function on the line."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_hash")
 
     def __init__(self, pieces=()):
         cleaned = []
@@ -59,6 +59,7 @@ class StepFunction:
                     f"piece [{a}, {b}) straddles 0; test functions vanish at zero"
                 )
         object.__setattr__(self, "pieces", tuple(merged))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -151,7 +152,11 @@ class StepFunction:
         return self.pieces == other.pieces
 
     def __hash__(self):
-        return hash(self.pieces)
+        # Cached on first use: most step functions are never hashed, while
+        # the rewrite memo hashes the same few over and over.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.pieces))
+        return self._hash
 
     def __str__(self):
         if not self.pieces:
@@ -210,6 +215,10 @@ def common_refinement(fns) -> list:
 
     Returns a list of (a, b, coeffs) with coeffs[i] the constant value of
     fns[i] on [a, b); segments where every function vanishes are dropped.
+
+    One sweep over the sorted cut points, with a cursor into each
+    function's sorted, non-overlapping pieces: O(P log P + P F) for P cut
+    points and F functions.
     """
     cuts = set()
     for f in fns:
@@ -217,9 +226,22 @@ def common_refinement(fns) -> list:
             cuts.add(a)
             cuts.add(b)
     points = sorted(cuts)
+    pieces = [f.pieces for f in fns]
+    cursors = [0] * len(pieces)
     out = []
     for a, b in zip(points, points[1:]):
-        coeffs = tuple(f.value_at(a) for f in fns)
-        if any(not c.is_zero for c in coeffs):
-            out.append((a, b, coeffs))
+        coeffs = []
+        covered = False
+        for i, ps in enumerate(pieces):
+            j = cursors[i]
+            while j < len(ps) and ps[j][1] <= a:
+                j += 1
+            cursors[i] = j
+            if j < len(ps) and ps[j][0] <= a:
+                coeffs.append(ps[j][2])
+                covered = True
+            else:
+                coeffs.append(QC_ZERO)
+        if covered:
+            out.append((a, b, tuple(coeffs)))
     return out

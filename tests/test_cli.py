@@ -181,6 +181,24 @@ def test_mgf_domain_error_exit_code(capsys):
     assert main(["mgf", "--n", "2", "--t", "1", "--s-grid", "0:1:0.5"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mgf", "--n", "2", "--s-grid", "0:0.1:0.1"],
+        ["density", "--x-grid", "0:0.1:0.1"],
+        ["sample", "--count", "3", "--seed", "1"],
+    ],
+)
+def test_non_finite_t_rejected(capsys, argv, bad):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(argv + [f"--t={bad}"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert f"argument --t: must be finite, got '{bad}'" in capsys.readouterr().err
+
+
 def test_internal_failure_exit_code(capsys, monkeypatch):
     import rhpwn.cli as cli_mod
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_step_function
+from conftest import rand_coeff, rand_step_function
 from rhpwn.errors import UnsupportedGeneratorError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import (
+    VacuumState,
     Word,
     kernel_bruteforce,
     reduce_truncated,
@@ -15,6 +16,7 @@ from rhpwn.rewrite import (
     state_in_number_basis,
     step_bound,
     vacuum_expectation,
+    _insert_creator,
 )
 from rhpwn.algebra import WINFTY, GeneratorIndex
 from rhpwn.fock import kernel_values
@@ -97,6 +99,102 @@ def test_termination_step_bound():
         w = word(*indices)
         _, steps = reduce_untruncated_with_stats(w)
         assert steps <= step_bound(w)
+
+
+class UnmemoizedReducer:
+    """The untruncated recursion without a memo: every sub-reduction is a step."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def apply_generator(self, n, k, fn, mono):
+        self.steps += 1
+        if fn.is_zero or n < 0 or k < 0:
+            return {}
+        if n == 0 and k == 0:
+            return {mono: fn.integral_mu()}
+        if k == 0:
+            return {_insert_creator(mono, n, fn): MuPoly.one()}
+        if not mono:
+            if n < k:
+                return {}
+            if n == k:
+                return {(): fn.integral_mu().scaled(Fraction(1, n + 1))}
+            return {((n - k, fn),): MuPoly.one()}
+        m, g = mono[-1]
+        rest = mono[:-1]
+        out = {}
+        for mono2, coeff in self.apply_generator(n, k, fn, rest).items():
+            key = _insert_creator(mono2, m, g)
+            out[key] = out.get(key, MuPoly.zero()) + coeff
+        for mono2, coeff in self.apply_generator(n + m - 1, k - 1, fn * g, rest).items():
+            out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(k * m)
+        return out
+
+    def reduce(self, word):
+        terms = {(): MuPoly.one()}
+        for idx, fn in reversed(tuple(word)):
+            out = {}
+            for mono, coeff in terms.items():
+                for mono2, c2 in self.apply_generator(idx.n, idx.k, fn, mono).items():
+                    out[mono2] = out.get(mono2, MuPoly.zero()) + coeff * c2
+            terms = {mono: c for mono, c in out.items() if not c.is_zero}
+            if not terms:
+                break
+        return VacuumState(terms)
+
+
+def overlapping_indicators(rng):
+    """3-6 rational indicators on [0, 3) that overlap one another."""
+    out = []
+    for _ in range(rng.randint(3, 6)):
+        a = Fraction(rng.randint(0, 8), 4)
+        b = a + Fraction(rng.randint(2, 6), 4)
+        out.append(StepFunction.indicator(a, b, rand_coeff(rng, span=3, den=2)))
+    return out
+
+
+def assert_memo_matches_reference(w):
+    reference = UnmemoizedReducer()
+    expected = reference.reduce(w)
+    state, steps = reduce_untruncated_with_stats(w)
+    assert state == expected
+    assert steps <= reference.steps
+    assert steps <= step_bound(w)
+    return steps, reference.steps
+
+
+def test_memoized_reduction_matches_unmemoized_reference():
+    rng = random.Random(23)
+    for _ in range(30):
+        fns = overlapping_indicators(rng)
+        # creators act first, so the pending factors have monomials to pass
+        indices = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        indices += [(rng.randint(1, 3), 0) for _ in range(rng.randint(1, 4))]
+        w = Word([(GeneratorIndex("RHPWN", n, k), rng.choice(fns)) for n, k in indices])
+        assert_memo_matches_reference(w)
+
+
+def test_memoized_reduction_of_long_creator_annihilator_word():
+    # (B[0,3](f_i))^8 (B[3,0](f_j))^8 over six unit indicators shifted by 1/3,
+    # taken in turn: sub-reductions repeat heavily
+    ind = [StepFunction.indicator(Fraction(i, 3), Fraction(i, 3) + 1) for i in range(6)]
+    w = Word(
+        [(GeneratorIndex("RHPWN", 0, 3), ind[i % 6]) for i in range(8)]
+        + [(GeneratorIndex("RHPWN", 3, 0), ind[i % 6]) for i in range(8)]
+    )
+    steps, reference_steps = assert_memo_matches_reference(w)
+    assert steps < reference_steps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the untruncated vacuum action is not compatible with the involution: "
+    "B[2,3] B[1,2] B[3,1] over chi_I gives 4*mu, its adjoint gives 5*mu",
+)
+def test_vacuum_functional_is_hermitian():
+    w = word((2, 3), (1, 2), (3, 1))
+    assert vacuum_expectation(w) == vacuum_expectation(w.adjoint()).conjugate()
 
 
 def test_words_are_rhpwn_only():

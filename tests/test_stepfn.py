@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_step_function
 from rhpwn.scalars import ComplexRational
@@ -64,6 +66,48 @@ def test_common_refinement_consistency():
             mid = (a + b) / 2
             for fn, c in zip(fns, coeffs):
                 assert fn.value_at(mid) == c
+
+
+def reference_refinement(fns):
+    """The pointwise definition: every function read at each segment start."""
+    cuts = set()
+    for f in fns:
+        for a, b, _ in f.pieces:
+            cuts.add(a)
+            cuts.add(b)
+    points = sorted(cuts)
+    out = []
+    for a, b in zip(points, points[1:]):
+        coeffs = tuple(f.value_at(a) for f in fns)
+        if any(not c.is_zero for c in coeffs):
+            out.append((a, b, coeffs))
+    return out
+
+
+# Endpoints on a coarse grid, so that functions share endpoints and their
+# pieces touch; a None coefficient leaves a gap, and equal neighbours merge.
+# 0 is always an endpoint and the pieces on either side of it never merge,
+# so no piece straddles the origin.
+_GRID = [Fraction(i, 2) for i in range(-6, 7)]
+_COEFFS = [None, 0, 1, Fraction(-1, 2), ComplexRational(1, 1), ComplexRational(0, -3)]
+
+
+@st.composite
+def step_functions(draw):
+    points = sorted(draw(st.sets(st.sampled_from(_GRID), max_size=8)) | {Fraction(0)})
+    coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=len(points),
+                           max_size=len(points)))
+    pieces = [[a, b, c] for a, b, c in zip(points, points[1:], coeffs) if c is not None]
+    for left, right in zip(pieces, pieces[1:]):
+        if left[1] == 0 == right[0] and left[2] == right[2]:
+            right[2] = 2  # not in _COEFFS
+    return StepFunction(pieces)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(step_functions(), min_size=1, max_size=4))
+def test_common_refinement_matches_pointwise_reference(fns):
+    assert common_refinement(fns) == reference_refinement(fns)
 
 
 def test_symbolic_indicator():
