@@ -16,6 +16,7 @@ are integers and coefficient functions are rational step functions.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -178,6 +179,24 @@ def involution(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(
         a.tag, {idx.involuted(): fn.conjugate() for idx, fn in a.terms.items()}
     )
+
+
+# -- the order-n truncated calculus ------------------------------------------
+
+
+@functools.cache
+def order_constants(n: int):
+    """The two integer constants of the order-n truncated calculus.
+
+    Returns (half, c) with half = n^2(n-1)/2, the step of the kernel
+    pi_{n,k} = k! n^k prod_{i<k} (mu + half i), and c = n half = n^3(n-1)/2,
+    the Riccati coefficient of V' = 1 + c V^2.  Both are integers because
+    n(n-1) is even.  Derived quantities: 2/(n^2(n-1)) = 1/half,
+    2/(n^3(n-1)) = 1/c (the admissibility bound), sqrt(n^3(n-1)/2) =
+    sqrt(c), n(n-1)/2 = half/n and k n(n-1) = 2 k half / n.
+    """
+    half = n * n * (n - 1) // 2
+    return half, n * half
 
 
 # -- Stirling numbers of the first kind and normal ordering -----------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import fock, jsonio, nogo, processes
 from .algebra import commutator, involution, normal_order_expansion, stirling_first
-from .errors import RhpwnError, SchemaError
+from .errors import DomainError, RhpwnError, SchemaError
 from .rewrite import vacuum_expectation
 from .scalars import ComplexRational, fraction_str
 
@@ -40,6 +40,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type: an exact rational given as a decimal or p/q."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _read_payload(args):
     if args.input and args.input != "-":
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -52,8 +60,18 @@ def _read_payload(args):
         raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
+# Caps on the sizes a single call may request; larger ones exit 2 before
+# anything is allocated.
+MAX_GRID_POINTS = 10**6
+MAX_SAMPLE_COUNT = 10**6
+
+
 def _parse_grid(spec: str):
-    """start:stop:step with decimal or p/q entries, endpoints inclusive."""
+    """start:stop:step with decimal or p/q entries, endpoints inclusive.
+
+    At most MAX_GRID_POINTS points; the count is checked before the list is
+    built.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise SchemaError("", f"grid must be start:stop:step, got {spec!r}")
@@ -63,6 +81,11 @@ def _parse_grid(spec: str):
         raise SchemaError("", f"bad grid entry in {spec!r}") from exc
     if step <= 0 or stop < start:
         raise SchemaError("", f"grid {spec!r} must have step > 0 and stop >= start")
+    count = math.floor((stop - start) / step + Fraction(1, 1000)) + 1
+    if count > MAX_GRID_POINTS:
+        raise SchemaError(
+            "", f"grid {spec!r} has {count} points, more than the cap {MAX_GRID_POINTS}"
+        )
     values = []
     v = start
     while v <= stop + step / 1000:
@@ -191,8 +214,7 @@ def _cmd_inner_product(args):
 
 
 def _cmd_nogo(args):
-    mu = Fraction(args.mu) if args.mu is not None else None
-    report = nogo.nogo_report(args.n, mu)
+    report = nogo.nogo_report(args.n, args.mu)
     (a11, a12), (_, a22) = report.entries
     out = {
         "n": report.n,
@@ -248,6 +270,10 @@ def _cmd_density(args):
 
 
 def _cmd_sample(args):
+    if args.count > MAX_SAMPLE_COUNT:
+        raise DomainError(
+            f"sample count {args.count} exceeds the cap {MAX_SAMPLE_COUNT}"
+        )
     samples = processes.sample_X(args.t, args.count, args.seed)
     lines = [_fmt(x) for x in samples]
     return {"t": _fmt(args.t), "count": args.count, "seed": args.seed, "samples": lines}, [
@@ -335,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nogo", "no-go Gram matrix, minors and threshold")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", default=None, help="interval measure as p/q")
+    p.add_argument("--mu", type=_fraction, default=None, help="interval measure as p/q")
 
     p = add("split-check", "exact splitting-formula series comparison")
     p.add_argument("--n", type=int, required=True)

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import order_constants
 from .errors import (
     DomainError,
     PrescriptionError,
@@ -49,7 +50,7 @@ def kernel_values(n: int, k: int):
     """
     if n < 1 or k < 0:
         raise DomainError(f"kernel indices need n >= 1, k >= 0, got ({n}, {k})")
-    half = Fraction(n * n * (n - 1), 2)
+    half, _ = order_constants(n)
     h = MuPoly.one()
     for i in range(k):
         h = h * (MU + half * i).scaled(n)
@@ -61,12 +62,12 @@ def G_eval(n: int, u: complex, mu: float) -> complex:
     u = complex(u)
     if n == 1:
         return cmath.exp(u * mu)
-    c = n**3 * (n - 1) / 2
+    half, c = order_constants(n)
     if abs(c * u) >= 1:
         raise DomainError(
             f"G_{n} needs |{c}*u| < 1 for the principal log, got u={u}"
         )
-    return cmath.exp(-(2 * mu / (n * n * (n - 1))) * cmath.log(1 - c * u))
+    return cmath.exp(-(mu / half) * cmath.log(1 - c * u))
 
 
 def Ghat_eval(n: int, u: complex) -> complex:
@@ -74,12 +75,12 @@ def Ghat_eval(n: int, u: complex) -> complex:
     u = complex(u)
     if n == 1:
         return u
-    c = n**3 * (n - 1) / 2
+    half, c = order_constants(n)
     if abs(c * u) >= 1:
         raise DomainError(
             f"Ghat_{n} needs |{c}*u| < 1 for the principal log, got u={u}"
         )
-    return -(2 / (n * n * (n - 1))) * cmath.log(1 - c * u)
+    return -(1 / half) * cmath.log(1 - c * u)
 
 
 def G_taylor_coeff(n: int, k: int) -> MuPoly:
@@ -94,7 +95,7 @@ def G_taylor_coeff(n: int, k: int) -> MuPoly:
         raise DomainError(f"Taylor indices need n >= 1, k >= 0, got ({n}, {k})")
     if n == 1:
         return MuPoly.monomial(k)
-    c = Fraction(n**3 * (n - 1), 2)
+    c = order_constants(n)[1]
     out = MuPoly.one()
     for i in range(k):
         out = out * (MU.scaled(n) + c * i)
@@ -110,7 +111,7 @@ def admissibility_bound_squared(n: int):
         raise DomainError(f"Fock order must be >= 1, got {n}")
     if n == 1:
         return None
-    return Fraction(2, n**3 * (n - 1))
+    return Fraction(1, order_constants(n)[1])
 
 
 def require_admissible(n: int, f: StepFunction):
@@ -379,8 +380,8 @@ def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
     require_admissible(n, g)
     if n == 1:
         return cmath.exp((f.conjugate() * g).integral().to_complex())
-    c = float(Fraction(n**3 * (n - 1), 2))
-    gamma = float(Fraction(2, n * n * (n - 1)))
+    half, c = order_constants(n)
+    gamma = 1 / half
     exponent = 0j
     for a, b, (cf, cg) in common_refinement([f, g]):
         w = (cf.conjugate() * cg).to_complex()
@@ -406,8 +407,8 @@ def jet_inner_product(u, v) -> complex:
         raise UnsupportedOrderError(f"combined jet order {p + q} exceeds 4")
     fns = [u.base.f, *u.directions, v.base.f, *v.directions]
     if n >= 2:
-        c = float(Fraction(n**3 * (n - 1), 2))
-        gamma = float(Fraction(2, n * n * (n - 1)))
+        half, c = order_constants(n)
+        gamma = 1 / half
     S = _MultiDual.const(0)
     for a, b, coeffs in common_refinement(fns):
         ell = float(b - a)
@@ -497,7 +498,7 @@ def apply_annihilator(n: int, f: StepFunction, v) -> JetSum:
 def _annihilate_exponential(n: int, f: StepFunction, v: ExponentialVector) -> JetSum:
     g = v.f
     scalar = (f * g).integral() * n
-    weight = Fraction(n**3 * (n - 1), 2)
+    weight = order_constants(n)[1]
     return JetSum(
         [
             (JetVector(v), scalar),
@@ -512,7 +513,7 @@ def _annihilate_first_jet(n: int, f: StepFunction, jet: JetVector) -> JetSum:
     # two-parameter curve with cross term 2 f d g.
     g = jet.base.f
     (d,) = jet.directions
-    weight = ComplexRational(Fraction(n**3 * (n - 1), 2))
+    weight = ComplexRational(order_constants(n)[1])
     return JetSum(
         [
             (JetVector(jet.base), (f * d).integral() * n),
@@ -543,7 +544,7 @@ def apply_number(n: int, f: StepFunction, g: StepFunction, v) -> JetSum:
         raise UnsupportedOrderError("number operator implemented on exponential vectors")
     h = jet.base.f
     scalar = (f * g).integral() * Fraction(1, n)
-    weight = ComplexRational(Fraction(n * (n - 1), 2))
+    weight = ComplexRational(Fraction(order_constants(n)[0], n))
     first = _mixed_curve_jet(jet.base, g, f * h * h, (f * g * h).scaled(2))
     second = _mixed_curve_jet(jet.base, f * h * h, g, StepFunction.zero())
     out = JetSum({JetVector(jet.base): scalar})

@@ -19,7 +19,6 @@ tabulated inverse CDF.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from .algebra import RHPWN, AlgebraElement, commutator
+from .algebra import RHPWN, AlgebraElement, commutator, order_constants
 from .errors import DomainError, OutOfScopeError
 from .mupoly import MU, MuPoly
 from .rewrite import Word, reduce_truncated
@@ -54,7 +53,7 @@ class SplittingSolution:
         n = self.n
         if n == 1:
             return float(s)
-        a = math.sqrt(n**3 * (n - 1) / 2)
+        a = math.sqrt(order_constants(n)[1])
         if abs(s) * a >= math.pi / 2:
             raise DomainError(f"V_{n} singular at |s| >= {math.pi / (2 * a)}")
         return math.tan(a * s) / a
@@ -63,10 +62,11 @@ class SplittingSolution:
         n = self.n
         if n == 1:
             return s * s * mu / 2
-        a = math.sqrt(n**3 * (n - 1) / 2)
+        c = order_constants(n)[1]
+        a = math.sqrt(c)
         if abs(s) * a >= math.pi / 2:
             raise DomainError(f"W_{n} singular at |s| >= {math.pi / (2 * a)}")
-        return -(2 * n * mu / (n**3 * (n - 1))) * math.log(math.cos(a * s))
+        return -(n * mu / c) * math.log(math.cos(a * s))
 
 
 def riccati_split(n: int, order: int = 16) -> SplittingSolution:
@@ -77,7 +77,9 @@ def riccati_split(n: int, order: int = 16) -> SplittingSolution:
     """
     if n < 1:
         raise DomainError(f"order must be >= 1, got n={n}")
-    beta = Fraction(n**3 * (n - 1), 2)
+    if order < 0:
+        raise DomainError(f"series order must be >= 0, got {order}")
+    beta = order_constants(n)[1]
     v = [Fraction(0)] * (order + 1)
     for j in range(order):
         square = sum((v[i] * v[j - i] for i in range(j + 1)), Fraction(0))
@@ -104,12 +106,20 @@ class SplitCheckReport:
 
 
 def _field_power_states(n: int, order: int):
-    """States (B[n,0] + B[0,n])^j Phi, each word reduced by the engine."""
+    """States (B[n,0] + B[0,n])^j Phi for j = 0..order, in the number basis.
+
+    Each state is the field applied once to the one before: the engine
+    reduces the one-factor words B[n,0] and B[0,n] from state j-1 and the two
+    results are summed.  That is 2 order engine calls on states of at most
+    order + 1 terms, O(order^2) work, where expanding every word of length j
+    would take 2^(j+1) - 2 calls in all.
+    """
+    fields = (Word.from_indices([(n, 0)]), Word.from_indices([(0, n)]))
     states = [{0: MuPoly.one()}]
-    for j in range(1, order + 1):
+    for _ in range(order):
         acc = {}
-        for choices in itertools.product([(n, 0), (0, n)], repeat=j):
-            for k, coeff in reduce_truncated(n, Word.from_indices(choices)):
+        for word in fields:
+            for k, coeff in reduce_truncated(n, word, state=states[-1].items()):
                 acc[k] = acc.get(k, MuPoly.zero()) + coeff
         states.append({k: c for k, c in acc.items() if not c.is_zero})
     return states
@@ -168,12 +178,13 @@ def mgf_eval(n: int, s: float, t: float) -> float:
     s = float(s)
     if n == 1:
         return math.exp(s * s * t / 2)
-    a = math.sqrt(n**3 * (n - 1) / 2)
+    c = order_constants(n)[1]
+    a = math.sqrt(c)
     if abs(s) * a >= math.pi / 2:
         raise DomainError(
             f"MGF argument |s| must stay below {math.pi / (2 * a):.6g} for n={n}"
         )
-    exponent = 2 * n * t / (n**3 * (n - 1))
+    exponent = n * t / c
     return math.exp(-exponent * math.log(math.cos(a * s)))
 
 
@@ -189,7 +200,7 @@ def mgf_series(n: int, order: int):
     if n == 1:
         half_sq = [MuPoly.zero(), MuPoly.zero(), MU.scaled(Fraction(1, 2))]
         return series_exp(half_sq, order)
-    beta = Fraction(n**3 * (n - 1), 2)
+    beta = order_constants(n)[1]
     cos_series = []
     for j in range(order + 1):
         if j % 2 == 0:
@@ -199,7 +210,7 @@ def mgf_series(n: int, order: int):
         else:
             cos_series.append(MuPoly.zero())
     log_cos = series_log(cos_series, order)
-    scale = -Fraction(2 * n, n**3 * (n - 1))
+    scale = -Fraction(n, beta)
     w = [MU * c.scaled(scale) for c in log_cos]
     return series_exp(w, order)
 
@@ -278,8 +289,9 @@ def density_q_scaled(n: int, t: float, y: float) -> float:
         raise OutOfScopeError(f"the scaled density concerns n >= 2, got n={n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
-    sigma = math.sqrt(n**3 * (n - 1) / 2)
-    tau = 2 * n * t / (n**3 * (n - 1))
+    c = order_constants(n)[1]
+    sigma = math.sqrt(c)
+    tau = n * t / c
     return density_p(tau, y / sigma) / sigma
 
 

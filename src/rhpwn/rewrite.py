@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import RHPWN, GeneratorIndex
+from .algebra import RHPWN, GeneratorIndex, order_constants
 from .errors import UnsupportedGeneratorError
 from .mupoly import MuPoly
 from .stepfn import CHI, SymbolicIndicator
@@ -251,26 +251,20 @@ def vacuum_expectation(word: Word) -> MuPoly:
 # -- truncated mode ----------------------------------------------------------
 
 
-def _truncated_rules(n: int):
-    creator = (n, 0)
-    annihilator = (0, n)
-    number = (n - 1, n - 1)
-    return creator, annihilator, number
-
-
-def reduce_truncated(n: int, word: Word):
+def reduce_truncated(n: int, word: Word, state=((0, MuPoly.one()),)):
     """Reduce a word over {B[n,0], B[0,n], B[n-1,n-1]} in the number basis.
 
-    Returns the sorted list of (k, coefficient) for the expansion in
-    {(B[n,0])^k Phi}.  Factors outside the order-n generator set, or with a
-    concrete (non-symbolic) test function, are rejected: the truncated action
-    is defined only there.
+    The word acts on `state`, given as (k, coefficient) pairs for the
+    expansion in {(B[n,0])^k Phi} and Phi by default.  Returns the sorted
+    list of (k, coefficient) of the result, in the same shape.  Factors
+    outside the order-n generator set, or with a concrete (non-symbolic)
+    test function, are rejected: the truncated action is defined only there.
     """
     if n < 1:
         raise UnsupportedGeneratorError(f"truncated order must be >= 1, got {n}")
-    creator, annihilator, number = _truncated_rules(n)
-    state = {0: MuPoly.one()}
-    half = Fraction(n * n * (n - 1), 2)
+    creator, annihilator, number = (n, 0), (0, n), (n - 1, n - 1)
+    half, _ = order_constants(n)
+    state = dict(state)
     for idx, fn in reversed(tuple(word)):
         if not isinstance(fn, SymbolicIndicator):
             raise UnsupportedGeneratorError(
@@ -290,7 +284,7 @@ def reduce_truncated(n: int, word: Word):
         elif pair == number:
             for k, c in state.items():
                 eig = MuPoly.mu().scaled(Fraction(1, n)) + MuPoly.constant(
-                    k * n * (n - 1)
+                    2 * k * half // n
                 )
                 new[k] = new.get(k, MuPoly.zero()) + c * eig
         else:

@@ -139,10 +139,6 @@ class ComplexRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 

@@ -14,6 +14,7 @@ from rhpwn.algebra import (
     creator_number_form,
     involution,
     normal_order_expansion,
+    order_constants,
     stirling_first,
 )
 from rhpwn.errors import IndexRangeError, TagMismatchError
@@ -139,6 +140,20 @@ def test_creator_number_form():
     assert creator_number_form(3, 3) == (0, 3)
     with pytest.raises(IndexRangeError):
         creator_number_form(1, 2)
+
+
+def test_order_constants_closed_forms():
+    for n in range(1, 9):
+        half, c = order_constants(n)
+        assert type(half) is int and type(c) is int
+        assert half == Fraction(n * n * (n - 1), 2)
+        assert c == Fraction(n**3 * (n - 1), 2)
+        assert Fraction(half, n) == Fraction(n * (n - 1), 2)
+        for k in range(6):
+            assert 2 * k * half // n == k * n * (n - 1)
+        if n >= 2:
+            assert Fraction(1, half) == Fraction(2, n * n * (n - 1))
+            assert Fraction(1, c) == Fraction(2, n**3 * (n - 1))
 
 
 def test_stirling_cache_grows_safely_under_threads():

@@ -9,6 +9,7 @@ from conftest import rand_element
 from rhpwn import jsonio
 from rhpwn.algebra import RHPWN, WINFTY
 from rhpwn.cli import main
+from rhpwn.errors import SchemaError
 from rhpwn.mupoly import MuPoly
 
 
@@ -197,6 +198,50 @@ def test_non_finite_t_rejected(capsys, argv, bad):
     assert exc.value.code == 2
     assert out.getvalue() == ""
     assert f"argument --t: must be finite, got '{bad}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["1/0", "abc"])
+def test_bad_mu_rejected(capsys, bad):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["nogo", "--n", "3", "--mu", bad])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert f"argument --mu: not a rational number: '{bad}'" in capsys.readouterr().err
+
+
+def test_negative_split_order_rejected(capsys):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["split-check", "--n", "2", "--order", "-1"]) == 2
+    assert out.getvalue() == ""
+    assert "order must be >= 0" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_grid_cap(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    # 10^9 + 1 points: refused from the count, before any point is built.
+    assert main(["density", "--t", "2", "--x-grid", "0:1:1e-9"]) == 2
+    assert "more than the cap 1000000" in json.loads(capsys.readouterr().err)["error"]
+    monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 5)
+    assert len(cli_mod._parse_grid("0:4:1")) == 5
+    with pytest.raises(SchemaError):
+        cli_mod._parse_grid("0:5:1")
+
+
+def test_sample_count_cap(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the sampler must not be built")
+
+    monkeypatch.setattr(cli_mod.processes, "sample_X", never)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["sample", "--t", "2", "--count", "1000001", "--seed", "1"]) == 2
+    assert out.getvalue() == ""
+    assert "exceeds the cap 1000000" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):

@@ -32,7 +32,7 @@ from rhpwn.fock import (
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import kernel_bruteforce
 from rhpwn.scalars import ComplexRational
-from rhpwn.stepfn import StepFunction
+from rhpwn.stepfn import StepFunction, common_refinement
 
 CHI12 = StepFunction.indicator(1, 2)
 
@@ -62,6 +62,41 @@ def test_g_eval_closed_forms():
     assert G_eval(5, 0.0, 3.0) == 1.0
     assert Ghat_eval(1, 0.37) == 0.37
     assert G_eval(1, 0.25, 2.0) == pytest.approx(math.exp(0.5), rel=1e-12)
+
+
+def test_constant_home_matches_inline_expressions():
+    # The float expressions as they were written before the order-n
+    # constants had one home; the rewritten ones must agree bit for bit.
+    def G_old(n, u, mu):
+        c = n**3 * (n - 1) / 2
+        return cmath.exp(-(2 * mu / (n * n * (n - 1))) * cmath.log(1 - c * u))
+
+    def Ghat_old(n, u):
+        c = n**3 * (n - 1) / 2
+        return -(2 / (n * n * (n - 1))) * cmath.log(1 - c * u)
+
+    def inner_old(n, f, g):
+        c = float(Fraction(n**3 * (n - 1), 2))
+        gamma = float(Fraction(2, n * n * (n - 1)))
+        exponent = 0j
+        for a, b, (cf, cg) in common_refinement([f, g]):
+            w = (cf.conjugate() * cg).to_complex()
+            exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
+        return cmath.exp(exponent)
+
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randint(2, 8)
+        radius = 0.999 / (n**3 * (n - 1) / 2)
+        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * radius / 1.5
+        mu = rng.uniform(0.01, 40.0)
+        assert G_eval(n, u, mu) == G_old(n, u, mu)
+        assert Ghat_eval(n, u) == Ghat_old(n, u)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        f = rand_admissible(rng, n, max_pieces=3)
+        g = rand_admissible(rng, n, max_pieces=3)
+        assert exp_inner_product(n, f, g) == inner_old(n, f, g)
 
 
 def test_g_eval_domain_errors():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from rhpwn.errors import DomainError, OutOfScopeError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.processes import (
     SecantDensity,
+    _field_power_states,
     SecantSampler,
     classical_check,
     complex_log_gamma,
@@ -22,6 +24,7 @@ from rhpwn.processes import (
     sample_X,
     splitting_series_check,
 )
+from rhpwn.rewrite import Word, reduce_truncated
 from rhpwn.scalars import ComplexRational
 from rhpwn.series import series_exp, series_log, series_mul
 
@@ -84,8 +87,37 @@ def test_initial_conditions():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_splitting_series_exact(n):
-    report = splitting_series_check(n, 8)
-    assert report.passed, report.first_mismatch
+    for order in (8, 12):
+        report = splitting_series_check(n, order)
+        assert report.passed, report.first_mismatch
+
+
+def _field_power_states_enumerated(n, order):
+    """Reference: expand (B[n,0] + B[0,n])^j into all 2^j words and reduce each."""
+    states = [{0: MuPoly.one()}]
+    for j in range(1, order + 1):
+        acc = {}
+        for choices in itertools.product([(n, 0), (0, n)], repeat=j):
+            for k, coeff in reduce_truncated(n, Word.from_indices(choices)):
+                acc[k] = acc.get(k, MuPoly.zero()) + coeff
+        states.append({k: c for k, c in acc.items() if not c.is_zero})
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_field_power_recurrence_matches_enumeration(n):
+    reference = _field_power_states_enumerated(n, 10)
+    for order in range(11):
+        assert _field_power_states(n, order) == reference[: order + 1]
+
+
+def test_reduce_truncated_from_a_state():
+    # A word applied to a given state equals the longer word applied to Phi.
+    start = reduce_truncated(3, Word.from_indices([(3, 0), (3, 0)]))
+    tail = Word.from_indices([(0, 3), (2, 2), (3, 0)])
+    longer = Word.from_indices([(0, 3), (2, 2), (3, 0), (3, 0), (3, 0)])
+    assert reduce_truncated(3, tail, state=start) == reduce_truncated(3, longer)
+    assert reduce_truncated(3, Word(), state=start) == start
 
 
 def test_splitting_order_two_coefficient():
@@ -98,6 +130,8 @@ def test_splitting_order_two_coefficient():
 def test_splitting_order_cap():
     with pytest.raises(DomainError):
         splitting_series_check(2, 13)
+    with pytest.raises(DomainError):
+        splitting_series_check(2, -1)
 
 
 # -- moment generating functions ---------------------------------------------------
@@ -116,6 +150,41 @@ def test_mgf_domain():
         mgf_eval(2, math.pi / 4, 1.0)
     with pytest.raises(DomainError):
         mgf_eval(1, 0.1, -1.0)
+
+
+def test_constant_home_matches_inline_expressions():
+    # The float expressions as they were written before the order-n
+    # constants had one home; the rewritten ones must agree bit for bit.
+    def mgf_old(n, s, t):
+        a = math.sqrt(n**3 * (n - 1) / 2)
+        exponent = 2 * n * t / (n**3 * (n - 1))
+        return math.exp(-exponent * math.log(math.cos(a * s)))
+
+    def density_old(n, t, y):
+        sigma = math.sqrt(n**3 * (n - 1) / 2)
+        tau = 2 * n * t / (n**3 * (n - 1))
+        return density_p(tau, y / sigma) / sigma
+
+    def w_old(n, s, mu):
+        a = math.sqrt(n**3 * (n - 1) / 2)
+        return -(2 * n * mu / (n**3 * (n - 1))) * math.log(math.cos(a * s))
+
+    rng = random.Random(4711)
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        a = math.sqrt(n**3 * (n - 1) / 2)
+        s = rng.uniform(-1, 1) * 0.999 * math.pi / (2 * a)
+        t = rng.uniform(0.01, 12.0)
+        mu = rng.uniform(0.01, 40.0)
+        assert mgf_eval(n, s, t) == mgf_old(n, s, t)
+        split = riccati_split(n, 0)
+        assert split.v_eval(s) == math.tan(a * s) / a
+        assert split.w_eval(s, mu) == w_old(n, s, mu)
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        t = rng.uniform(0.05, 8.0)
+        y = rng.uniform(-60.0, 60.0)
+        assert density_q_scaled(n, t, y) == density_old(n, t, y)
 
 
 def test_mgf_bridge_phi_component():
