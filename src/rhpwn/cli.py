@@ -64,6 +64,13 @@ def _read_payload(args):
 # anything is allocated.
 MAX_GRID_POINTS = 10**6
 MAX_SAMPLE_COUNT = 10**6
+MAX_STIRLING_N = 500  # stirling and normal-order share one table: 29 MB at n = 500
+MAX_KERNEL_K = 400  # kernel_values(6, k): about 0.5 s at k = 400, 3.5 s at 1000
+
+
+def _check_cap(name: str, value: int, cap: int):
+    if value > cap:
+        raise DomainError(f"{name} {value} exceeds the cap {cap}")
 
 
 def _parse_grid(spec: str):
@@ -146,12 +153,14 @@ def _cmd_involute(args):
 
 
 def _cmd_stirling(args):
+    _check_cap("stirling --n", args.n, MAX_STIRLING_N)
     value = stirling_first(args.n, args.k)
     obj = {"n": args.n, "k": args.k, "value": str(value)}
     return obj, [("n", "k", "value"), (args.n, args.k, value)]
 
 
 def _cmd_normal_order(args):
+    _check_cap("normal-order --n", args.n, MAX_STIRLING_N)
     terms = normal_order_expansion(args.n)
     obj = {"n": args.n, "terms": [{"power": m, "coeff": str(c)} for m, c in terms]}
     rows = [("power", "coeff")] + [(m, c) for m, c in terms]
@@ -167,6 +176,7 @@ def _cmd_vacuum_moment(args):
 
 
 def _cmd_kernel(args):
+    _check_cap("kernel --k", args.k, MAX_KERNEL_K)
     pi, h = fock.kernel_values(args.n, args.k)
     obj = {"n": args.n, "k": args.k, "pi": pi.to_strings(), "h": h.to_strings()}
     rows = [("degree", "pi", "h")]
@@ -270,10 +280,7 @@ def _cmd_density(args):
 
 
 def _cmd_sample(args):
-    if args.count > MAX_SAMPLE_COUNT:
-        raise DomainError(
-            f"sample count {args.count} exceeds the cap {MAX_SAMPLE_COUNT}"
-        )
+    _check_cap("sample count", args.count, MAX_SAMPLE_COUNT)
     samples = processes.sample_X(args.t, args.count, args.seed)
     lines = [_fmt(x) for x in samples]
     return {"t": _fmt(args.t), "count": args.count, "seed": args.seed, "samples": lines}, [

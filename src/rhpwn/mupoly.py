@@ -12,10 +12,6 @@ from fractions import Fraction
 from .scalars import ComplexRational, QC_ONE, QC_ZERO
 
 
-def _coerce_coeff(value) -> ComplexRational:
-    return ComplexRational.coerce(value)
-
-
 class MuPoly:
     """Dense polynomial in mu with ComplexRational coefficients.
 
@@ -26,7 +22,7 @@ class MuPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce_coeff(c) for c in coeffs]
+        cs = [ComplexRational.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -46,7 +42,7 @@ class MuPoly:
 
     @classmethod
     def constant(cls, c) -> "MuPoly":
-        return cls((_coerce_coeff(c),))
+        return cls((c,))
 
     @classmethod
     def mu(cls) -> "MuPoly":
@@ -54,7 +50,7 @@ class MuPoly:
 
     @classmethod
     def monomial(cls, degree: int, c=1) -> "MuPoly":
-        return cls((QC_ZERO,) * degree + (_coerce_coeff(c),))
+        return cls((QC_ZERO,) * degree + (c,))
 
     # -- ring operations ----------------------------------------------
 
@@ -112,7 +108,7 @@ class MuPoly:
         return out
 
     def scaled(self, c) -> "MuPoly":
-        c = _coerce_coeff(c)
+        c = ComplexRational.coerce(c)
         return MuPoly(tuple(a * c for a in self.coeffs))
 
     def conjugate(self) -> "MuPoly":

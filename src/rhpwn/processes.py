@@ -76,7 +76,7 @@ def riccati_split(n: int, order: int = 16) -> SplittingSolution:
     V = tan(a s)/a and W = -(2 n mu / (n^3(n-1))) ln cos(a s).
     """
     if n < 1:
-        raise DomainError(f"order must be >= 1, got n={n}")
+        raise DomainError(f"Fock order must be >= 1, got {n}")
     if order < 0:
         raise DomainError(f"series order must be >= 0, got {order}")
     beta = order_constants(n)[1]
@@ -172,7 +172,7 @@ def mgf_eval(n: int, s: float, t: float) -> float:
     a = sqrt(n^3(n-1)/2), valid for |s| a < pi/2.
     """
     if n < 1:
-        raise DomainError(f"order must be >= 1, got n={n}")
+        raise DomainError(f"Fock order must be >= 1, got {n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
     s = float(s)
@@ -196,7 +196,7 @@ def mgf_series(n: int, order: int):
     engine.  Returns MuPoly coefficients with mu standing for t.
     """
     if n < 1:
-        raise DomainError(f"order must be >= 1, got n={n}")
+        raise DomainError(f"Fock order must be >= 1, got {n}")
     if n == 1:
         half_sq = [MuPoly.zero(), MuPoly.zero(), MU.scaled(Fraction(1, 2))]
         return series_exp(half_sq, order)
@@ -278,7 +278,7 @@ def density_p(t: float, x: float) -> float:
     )
     value = cmath.exp(log_value)
     if abs(value.imag) >= 1e-12 * max(1.0, abs(value.real)):
-        raise AssertionError(f"density residual imaginary part {value.imag} at ({t}, {x})")
+        raise DomainError(f"density residual imaginary part {value.imag} at ({t}, {x})")
     return value.real
 
 
@@ -382,12 +382,16 @@ def _adaptive_half_grid(dens: SecantDensity, cutoff: float):
     return np.asarray(knots), np.asarray(masses)
 
 
+# Bound on the tail mass the sampler's table leaves out on each side.
+SAMPLER_TAIL_EPS = 1e-12
+
+
 class SecantSampler:
     """Inverse-CDF sampler for p_t on a tabulated adaptive grid."""
 
-    def __init__(self, t: float, tail_eps: float = 1e-12):
+    def __init__(self, t: float):
         dens = SecantDensity(t)
-        cutoff = dens.tail_cutoff(tail_eps)
+        cutoff = dens.tail_cutoff(SAMPLER_TAIL_EPS)
         xs, masses = _adaptive_half_grid(dens, cutoff)
         half_cdf = np.concatenate(([0.0], np.cumsum(masses)))
         total = 2 * half_cdf[-1]
@@ -409,15 +413,23 @@ class SecantSampler:
         return np.clip(self._forward(np.clip(x, self.grid[0], self.grid[-1])), 0.0, 1.0)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
-        if count < 1:
-            raise DomainError(f"sample count must be >= 1, got {count}")
+        _check_count(count)
         rng = np.random.default_rng(seed)
         u = rng.random(count)
         return np.asarray(self._inverse(u), dtype=float)
 
 
+def _check_count(count: int):
+    if count < 1:
+        raise DomainError(f"sample count must be >= 1, got {count}")
+
+
 def sample_X(t: float, count: int, seed: int) -> np.ndarray:
-    """i.i.d. draws from p_t; deterministic for a fixed seed."""
+    """i.i.d. draws from p_t; deterministic for a fixed seed.
+
+    The count is checked before the sampler's table is built.
+    """
+    _check_count(count)
     return SecantSampler(t).sample(count, seed)
 
 

@@ -33,6 +33,7 @@ factor is rejected rather than guessed.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebra import RHPWN, GeneratorIndex, order_constants
@@ -150,27 +151,16 @@ def _insert_creator(mono, m, fn):
     return tuple(out)
 
 
-class _Reducer:
-    """Recursive normal-form computation, memoized, with a step counter.
+def reduce_untruncated_with_stats(word: Word):
+    """Normal form of `word` applied to Phi, plus the rewrite-step count.
 
-    The memo lives as long as the reducer, i.e. one reduction.  Its result
-    dicts are shared between callers and are only ever read.
+    The step count is the memo's miss count: the distinct sub-reductions
+    computed.  The memo's result dicts are shared and only ever read.
     """
 
-    def __init__(self):
-        self.steps = 0
-        self.memo = {}
-
-    def apply_generator(self, n, k, fn, mono):
+    @functools.cache
+    def apply(n, k, fn, mono):
         """Apply B[n,k](fn) to one creator monomial; returns {monomial: MuPoly}."""
-        key = (n, k, fn, mono)
-        out = self.memo.get(key)
-        if out is None:
-            out = self.memo[key] = self._expand(n, k, fn, mono)
-        return out
-
-    def _expand(self, n, k, fn, mono):
-        self.steps += 1
         if fn.is_zero or n < 0 or k < 0:
             return {}
         if n == 0 and k == 0:
@@ -188,43 +178,31 @@ class _Reducer:
         rest = mono[:-1]
         out = {}
         # Direct term: slide the factor past the creator, then restore it.
-        for mono2, coeff in self.apply_generator(n, k, fn, rest).items():
+        for mono2, coeff in apply(n, k, fn, rest).items():
             key = _insert_creator(mono2, m, g)
             out[key] = out.get(key, MuPoly.zero()) + coeff
         # Bracket term: [B[n,k], B[m,0]] = k m B[n+m-1, k-1](fn g).
         const = k * m
-        for mono2, coeff in self.apply_generator(n + m - 1, k - 1, fn * g, rest).items():
+        for mono2, coeff in apply(n + m - 1, k - 1, fn * g, rest).items():
             out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(const)
         return out
 
-    def apply_to_state(self, n, k, fn, state_terms):
-        out = {}
-        for mono, coeff in state_terms.items():
-            for mono2, c2 in self.apply_generator(n, k, fn, mono).items():
-                prev = out.get(mono2, MuPoly.zero())
-                out[mono2] = prev + coeff * c2
-        return {mono: c for mono, c in out.items() if not c.is_zero}
-
-
-def reduce_untruncated_with_stats(word: Word):
-    """Normal form of `word` applied to Phi, plus the rewrite-step count.
-
-    The step count is the number of distinct sub-reductions B[n,k](f) applied
-    to a creator monomial that were actually computed; repeats are served
-    from the reduction's memo and not counted.
-    """
-    reducer = _Reducer()
     terms = {(): MuPoly.one()}
     for idx, fn in reversed(tuple(word)):
-        terms = reducer.apply_to_state(idx.n, idx.k, fn, terms)
+        out = {}
+        for mono, coeff in terms.items():
+            for mono2, c2 in apply(idx.n, idx.k, fn, mono).items():
+                out[mono2] = out.get(mono2, MuPoly.zero()) + coeff * c2
+        terms = {mono: c for mono, c in out.items() if not c.is_zero}
         if not terms:
             break
-    return VacuumState(terms), reducer.steps
+    steps = apply.cache_info().misses
+    apply.cache_clear()  # `apply` refers to itself: free the memo now, not at GC
+    return VacuumState(terms), steps
 
 
 def reduce_untruncated(word: Word) -> VacuumState:
-    state, _ = reduce_untruncated_with_stats(word)
-    return state
+    return reduce_untruncated_with_stats(word)[0]
 
 
 def step_bound(word: Word) -> int:

@@ -2,8 +2,8 @@
 
 Every structure constant in the two algebras is an integer and every test
 function has rational data, so all symbolic computation in this package runs
-over Q(i): pairs of arbitrary-precision `fractions.Fraction`.  Floats appear
-only at the numeric boundary (kernels, densities, sampling).
+over Q(i): pairs of `int` or `fractions.Fraction`, integers kept as integers.
+Floats appear only at the numeric boundary (kernels, densities, sampling).
 """
 
 from __future__ import annotations
@@ -35,18 +35,25 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = (int, Fraction)
+
+
 class ComplexRational:
     """An element of Q(i), immutable.
 
     Arithmetic is exact; `to_complex` is the only lossy exit.  Mixed
-    arithmetic with int and Fraction coerces the other operand.
+    arithmetic with int and Fraction coerces the other operand.  Parts are
+    stored as given; an `int` part and the equal `Fraction` compare, hash and
+    print alike.  Strings, floats and `complex` go through `parse` or `coerce`.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", parse_fraction(re))
-        object.__setattr__(self, "im", parse_fraction(im))
+        if not (isinstance(re, _RATIONAL) and isinstance(im, _RATIONAL)):
+            raise TypeError(f"parts must be int or Fraction, got {re!r}, {im!r}")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
@@ -57,11 +64,9 @@ class ComplexRational:
     def coerce(cls, value) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, _RATIONAL):
             return cls(value)
-        if isinstance(value, float):
-            return cls(Fraction(value))
-        if isinstance(value, complex):
+        if isinstance(value, (float, complex)):
             return cls(Fraction(value.real), Fraction(value.imag))
         raise TypeError(f"cannot coerce {value!r} to ComplexRational")
 
@@ -117,8 +122,8 @@ class ComplexRational:
         if d == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
         return ComplexRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            Fraction(self.re * other.re + self.im * other.im, d),
+            Fraction(self.im * other.re - self.re * other.im, d),
         )
 
     def __rtruediv__(self, other):
@@ -130,7 +135,7 @@ class ComplexRational:
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
 
-    def abs_squared(self) -> Fraction:
+    def abs_squared(self):
         return self.re * self.re + self.im * self.im
 
     # -- predicates / conversions ---------------------------------------

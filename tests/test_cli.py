@@ -230,18 +230,55 @@ def test_grid_cap(capsys, monkeypatch):
         cli_mod._parse_grid("0:5:1")
 
 
+def _never(*_args, **_kwargs):
+    raise AssertionError("the library must not be called")
+
+
+def assert_refused(capsys, argv, message):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 2
+    assert out.getvalue() == ""
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_sample_count_cap(capsys, monkeypatch):
     import rhpwn.cli as cli_mod
 
-    def never(*_args, **_kwargs):
-        raise AssertionError("the sampler must not be built")
+    # Counts below 1 are refused before the sampler's table is built.
+    monkeypatch.setattr(cli_mod.processes, "SecantSampler", _never)
+    for count in ("0", "-1"):
+        argv = ["sample", "--t", "2", "--count", count, "--seed", "1"]
+        assert_refused(capsys, argv, f"sample count must be >= 1, got {count}")
+    monkeypatch.setattr(cli_mod.processes, "sample_X", _never)
+    argv = ["sample", "--t", "2", "--count", "1000001", "--seed", "1"]
+    assert_refused(capsys, argv, "exceeds the cap 1000000")
 
-    monkeypatch.setattr(cli_mod.processes, "sample_X", never)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(["sample", "--t", "2", "--count", "1000001", "--seed", "1"]) == 2
-    assert out.getvalue() == ""
-    assert "exceeds the cap 1000000" in json.loads(capsys.readouterr().err)["error"]
+
+def test_stirling_and_kernel_caps(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "stirling_first", _never)
+    monkeypatch.setattr(cli_mod, "normal_order_expansion", _never)
+    monkeypatch.setattr(cli_mod.fock, "kernel_values", _never)
+    assert_refused(capsys, ["stirling", "--n", "501", "--k", "2"],
+                   "stirling --n 501 exceeds the cap 500")
+    assert_refused(capsys, ["normal-order", "--n", "501"],
+                   "normal-order --n 501 exceeds the cap 500")
+    assert_refused(capsys, ["kernel", "--n", "6", "--k", "401"],
+                   "kernel --k 401 exceeds the cap 400")
+
+
+def test_split_check_fock_order_message(capsys):
+    assert_refused(capsys, ["split-check", "--n", "0"], "Fock order must be >= 1, got 0")
+
+
+def test_density_imaginary_residual_is_a_domain_error(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.processes, "complex_log_gamma", lambda z: 1j)
+    assert_refused(capsys, ["density", "--t", "2", "--x-grid", "0:1:1"],
+                   "density residual imaginary part")
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):

@@ -185,6 +185,7 @@ def test_memoized_reduction_of_long_creator_annihilator_word():
     )
     steps, reference_steps = assert_memo_matches_reference(w)
     assert steps < reference_steps
+    assert steps == 3102
 
 
 @pytest.mark.xfail(
