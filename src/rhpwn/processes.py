@@ -12,8 +12,9 @@ V' = 1 + (n^3(n-1)/2) V^2, V(0) = 0, and W' = n mu V, W(0) = 0.
 
 The normalized law has density p_t(x) = (2^(t-1) / (2 pi))
 Gamma((t+ix)/2) Gamma((t-ix)/2) / Gamma(t), an even probability density with
-MGF (sec s)^t; it is evaluated through a complex log-Gamma and sampled by
-tabulated inverse CDF.
+MGF (sec s)^t; it is evaluated through a complex log-Gamma, integrated by
+adaptive Simpson quadrature (`quad`) and sampled by linear interpolation of
+the tabulated inverse CDF.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .algebra import RHPWN, AlgebraElement, commutator, order_constants
 from .errors import DomainError, OutOfScopeError
@@ -236,6 +235,10 @@ _LANCZOS_COEFFS = (
     0.36899182659531622704e-5,
 )
 
+# The terms i >= 1 with i as a float, so the hot loop neither slices nor converts.
+_LANCZOS_TERMS = tuple((float(i), c) for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1))
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
 
 def complex_log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma on the right half plane.
@@ -246,17 +249,15 @@ def complex_log_gamma(z: complex) -> complex:
     z = complex(z)
     if z.real <= 0:
         raise DomainError(f"log Gamma implemented for Re z > 0, got {z}")
+    if abs(z) < 1e-3:
+        # the sum below would lose the low bits of z in (z - 1) + 1
+        return complex_log_gamma(z + 1) - cmath.log(z)
     zm1 = z - 1
     acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+    for i, c in _LANCZOS_TERMS:
         acc += c / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
-    return (
-        0.5 * math.log(2 * math.pi)
-        + (zm1 + 0.5) * cmath.log(t)
-        - t
-        + cmath.log(acc)
-    )
+    return _HALF_LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 # -- the hyperbolic-secant family densities -------------------------------------
@@ -336,36 +337,31 @@ class MgfNumericCheck:
 
 
 def mgf_numeric_check(t: float, s: float) -> MgfNumericCheck:
-    """Quadrature of integral e^(s x) p_t(x) dx against (sec s)^t."""
+    """Quadrature of integral e^(s x) p_t(x) dx against (sec s)^t; p_t is
+    even, so `quad` integrates 2 cosh(s x) p_t(x) over [0, cutoff]."""
     s = float(s)
     if abs(s) >= math.pi / 2:
         raise DomainError(f"MGF argument needs |s| < pi/2, got {s}")
     dens = SecantDensity(t)
     cutoff = dens.tail_cutoff(1e-16, weight=abs(s))
-    numeric, _est = quad(
-        lambda x: math.exp(s * x) * dens(x),
-        -cutoff,
-        cutoff,
-        limit=400,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
+    numeric = math.fsum(quad(lambda x: 2 * math.cosh(s * x) * dens(x), 0.0, cutoff)[1])
     closed = math.exp(-t * math.log(math.cos(s)))
     rel = abs(numeric - closed) / abs(closed)
     return MgfNumericCheck(numeric=numeric, closed_form=closed, rel_err=rel)
 
 
-# -- sampling -------------------------------------------------------------------
+# -- quadrature and sampling ------------------------------------------------------
 
 
-def _adaptive_half_grid(dens: SecantDensity, cutoff: float):
-    """Adaptive knots on [0, cutoff]: refine until Simpson and trapezoid agree."""
-    knots = [0.0]
+def quad(f, a: float, b: float):
+    """Adaptive Simpson quadrature of f on [a, b] from 64 seed panels: returns
+    the knots a = x_0 < ... < x_m = b and the Simpson mass of each panel."""
+    knots = [a]
     masses = []
 
     def refine(a, b, fa, fb, depth):
         m = 0.5 * (a + b)
-        fm = dens(m)
+        fm = f(m)
         trap = 0.5 * (fa + fb) * (b - a)
         simpson = (fa + 4 * fm + fb) * (b - a) / 6
         if depth >= 30 or (abs(simpson - trap) < 1e-11 + 1e-9 * abs(simpson)):
@@ -375,10 +371,10 @@ def _adaptive_half_grid(dens: SecantDensity, cutoff: float):
         refine(a, m, fa, fm, depth + 1)
         refine(m, b, fm, fb, depth + 1)
 
-    seeds = np.linspace(0.0, cutoff, 65)
-    values = [dens(x) for x in seeds]
-    for a, b, fa, fb in zip(seeds, seeds[1:], values, values[1:]):
-        refine(float(a), float(b), fa, fb, 0)
+    seeds = np.linspace(a, b, 65)
+    values = [f(x) for x in seeds]
+    for lo, hi, flo, fhi in zip(seeds, seeds[1:], values, values[1:]):
+        refine(float(lo), float(hi), flo, fhi, 0)
     return np.asarray(knots), np.asarray(masses)
 
 
@@ -387,12 +383,13 @@ SAMPLER_TAIL_EPS = 1e-12
 
 
 class SecantSampler:
-    """Inverse-CDF sampler for p_t on a tabulated adaptive grid."""
+    """Inverse-CDF sampler for p_t: linear interpolation of the CDF on the
+    knots of `quad`, mirrored to [-cutoff, cutoff]."""
 
     def __init__(self, t: float):
         dens = SecantDensity(t)
         cutoff = dens.tail_cutoff(SAMPLER_TAIL_EPS)
-        xs, masses = _adaptive_half_grid(dens, cutoff)
+        xs, masses = quad(dens, 0.0, cutoff)
         half_cdf = np.concatenate(([0.0], np.cumsum(masses)))
         total = 2 * half_cdf[-1]
         # Symmetrize and normalize so the table spans exactly [0, 1].
@@ -406,17 +403,13 @@ class SecantSampler:
         self.t = float(t)
         self.grid = grid
         self.cdf = cdf
-        self._inverse = PchipInterpolator(cdf, grid)
-        self._forward = PchipInterpolator(grid, cdf)
 
     def tabulated_cdf(self, x):
-        return np.clip(self._forward(np.clip(x, self.grid[0], self.grid[-1])), 0.0, 1.0)
+        return np.interp(x, self.grid, self.cdf)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         _check_count(count)
-        rng = np.random.default_rng(seed)
-        u = rng.random(count)
-        return np.asarray(self._inverse(u), dtype=float)
+        return np.interp(np.random.default_rng(seed).random(count), self.cdf, self.grid)
 
 
 def _check_count(count: int):

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import sympy
+
 from rhpwn.algebra import RHPWN, AlgebraElement
 from rhpwn.scalars import ComplexRational
 from rhpwn.stepfn import StepFunction
@@ -64,3 +66,12 @@ def rand_element(rng, tag, max_index=6, max_terms=2, complex_ok=True):
         fn = rand_step_function(rng, complex_ok=complex_ok)
         out = out + AlgebraElement.generator(tag, n, k, fn)
     return out
+
+
+def mupoly_to_sympy(p, symbol):
+    """A real MuPoly as an exact sympy polynomial in `symbol`."""
+    assert all(c.im == 0 for c in p.coeffs)
+    return sum(
+        (sympy.Rational(c.re.numerator, c.re.denominator) * symbol**d for d, c in enumerate(p.coeffs)),
+        sympy.Integer(0),
+    )

@@ -1,12 +1,22 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import mupoly_to_sympy
+from rhpwn import processes
 from rhpwn.errors import DomainError, OutOfScopeError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.processes import (
@@ -194,6 +204,23 @@ def test_mgf_bridge_phi_component():
         assert list(report.phi_component) == mgf_series(n, 8)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mgf_series_against_sympy(n):
+    # exact Taylor coefficients of sec(a s)^(n t / c), c = n^3 (n-1)/2, a = sqrt(c);
+    # exp(s^2 t / 2) for n = 1
+    s, t = sympy.symbols("s t")
+    if n == 1:
+        mgf = sympy.exp(s**2 * t / 2)
+    else:
+        c = sympy.Rational(n**3 * (n - 1), 2)
+        mgf = sympy.sec(sympy.sqrt(c) * s) ** (n * t / c)
+    want = sympy.expand(sympy.series(mgf, s, 0, 9).removeO())
+    got = mgf_series(n, 8)
+    assert len(got) == 9
+    for j, coeff in enumerate(got):
+        assert sympy.expand(mupoly_to_sympy(coeff, t) - want.coeff(s, j)) == 0
+
+
 def test_mgf_series_against_float():
     for n in (2, 3):
         coeffs = mgf_series(n, 12)
@@ -240,6 +267,19 @@ def test_log_gamma_recurrence():
         lhs = complex_log_gamma(z + 1)
         rhs = complex_log_gamma(z) + np.log(complex(z))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+    st.floats(min_value=-200.0, max_value=200.0),
+)
+def test_log_gamma_against_mpmath(re, im):
+    # the documented domain: Re z in (0, 50], |Im z| <= 200, absolute error < 1e-12
+    z = complex(re, im)
+    with mpmath.workdps(40):
+        want = complex(mpmath.loggamma(mpmath.mpc(re, im)))
+    assert abs(complex_log_gamma(z) - want) < 1e-12
 
 
 def test_log_gamma_domain():
@@ -299,6 +339,38 @@ def test_scaled_density_mgf(n, s):
     )
     want = mgf_eval(n, s, t)
     assert abs(got - want) <= 1e-6 * want
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 8.0])
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_quad_against_scipy(t, s):
+    # half the normalization of the even p_t (s = 0), and half-line MGF integrals
+    cutoff = SecantDensity(t).tail_cutoff(processes.SAMPLER_TAIL_EPS, weight=s)
+
+    def f(x):
+        return math.exp(s * x) * density_p(t, x)
+
+    knots, masses = processes.quad(f, 0.0, cutoff)
+    assert knots[0] == 0.0 and knots[-1] == cutoff
+    if s == 0.0:  # the sampler's half table keeps its size
+        assert len(knots) == {0.3: 7609, 2.0: 6085, 8.0: 5538}[t]
+    assert len(masses) == len(knots) - 1 and np.all(np.diff(knots) > 0)
+    want, _ = quad(f, 0.0, cutoff, limit=400, epsabs=1e-14, epsrel=1e-13)
+    assert abs(math.fsum(masses) - want) <= 1e-10 * want
+
+
+def test_quad_exact_integral():
+    knots, masses = processes.quad(math.exp, -1.0, 2.0)
+    assert knots[0] == -1.0 and knots[-1] == 2.0
+    assert math.fsum(masses) == pytest.approx(math.e**2 - 1 / math.e, rel=1e-13)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(processes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rhpwn.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_mgf_numeric_check():

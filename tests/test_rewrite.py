@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from conftest import rand_coeff, rand_step_function
+from conftest import mupoly_to_sympy, rand_coeff, rand_step_function
 from rhpwn.errors import UnsupportedGeneratorError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import (
@@ -196,6 +197,48 @@ def test_memoized_reduction_of_long_creator_annihilator_word():
 def test_vacuum_functional_is_hermitian():
     w = word((2, 3), (1, 2), (3, 1))
     assert vacuum_expectation(w) == vacuum_expectation(w.adjoint()).conjugate()
+
+
+# The defect, exactly: at degree 2 no rule for B[3,1] Phi with mu-polynomial
+# coefficients is compatible with the involution.
+
+DEGREE_TWO = (word((2, 0)), word((1, 0), (1, 0)))  # B[2,0] Phi, B[1,0]^2 Phi
+
+
+def inner(u, v):
+    """<u Phi, v Phi> through the engine: the vacuum moment of u* v."""
+    return vacuum_expectation(Word(u.adjoint().factors + v.factors))
+
+
+def demanded_inner(v, x):
+    """<v Phi, x Phi> as the involution demands it: conj <Phi, x* v Phi>."""
+    return vacuum_expectation(Word(x.adjoint().factors + v.factors)).conjugate()
+
+
+def test_degree_two_gram_matrix():
+    gram = [[inner(u, v) for v in DEGREE_TWO] for u in DEGREE_TWO]
+    assert gram == [[MU.scaled(2), MU.scaled(2)], [MU.scaled(2), (MU * MU).scaled(2)]]
+
+
+def test_b31_on_phi_against_the_involution():
+    b31 = word((3, 1))
+    assert [inner(v, b31) for v in DEGREE_TWO] == [MU.scaled(2), MU.scaled(2)]
+    assert [demanded_inner(v, b31) for v in DEGREE_TWO] == [MU.scaled(2), MU.scaled(3)]
+
+
+def test_b31_rule_the_involution_demands_is_singular_at_mu_one():
+    # B[3,1] Phi = x B[2,0] Phi + y B[1,0]^2 Phi with <v, B[3,1] Phi> as demanded
+    mu, x, y = sympy.symbols("mu x y")
+    b31 = word((3, 1))
+    gram = sympy.Matrix(2, 2, [mupoly_to_sympy(inner(u, v), mu) for u in DEGREE_TWO for v in DEGREE_TWO])
+    demanded = sympy.Matrix([mupoly_to_sympy(demanded_inner(v, b31), mu) for v in DEGREE_TWO])
+    assert sympy.factor(gram.det()) == 4 * mu**2 * (mu - 1)
+    [solution] = sympy.solve(list(gram * sympy.Matrix([x, y]) - demanded), [x, y], dict=True)
+    b = 1 / (2 * (mu - 1))
+    assert sympy.simplify(solution[x] - (1 - b)) == 0
+    assert sympy.simplify(solution[y] - b) == 0
+    assert not solution[y].is_polynomial(mu)
+    assert sympy.limit(solution[y], mu, 1, "+") == sympy.oo
 
 
 def test_words_are_rhpwn_only():
