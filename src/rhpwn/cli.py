@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -267,13 +268,15 @@ def _cmd_mgf(args):
 
 
 def _cmd_density(args):
+    xs = _parse_grid(args.x_grid)
+    if args.n is None:
+        density = processes.SecantDensity(args.t)
+    else:
+        density = functools.partial(processes.density_q_scaled, args.n, args.t)
     rows = [("x", "p")]
     body = []
-    for x in _parse_grid(args.x_grid):
-        if args.n is None:
-            value = processes.density_p(args.t, float(x))
-        else:
-            value = processes.density_q_scaled(args.n, args.t, float(x))
+    for x in xs:
+        value = density(float(x))
         rows.append((_fmt(x), _fmt(value)))
         body.append({"x": _fmt(x), "p": _fmt(value)})
     return {"t": _fmt(args.t), "n": args.n, "rows": body}, rows

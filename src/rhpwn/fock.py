@@ -554,17 +554,7 @@ def apply_number(n: int, f: StepFunction, g: StepFunction, v) -> JetSum:
 # -- generic representation via the commutator prescription -------------------
 
 
-class RepOperator:
-    """Composable operator on jet sums; primitives resolve per vector order."""
-
-    def apply(self, state) -> JetSum:
-        raise NotImplementedError
-
-    def __call__(self, state) -> JetSum:
-        return self.apply(state)
-
-
-class GeneratorOp(RepOperator):
+class GeneratorOp:
     """B[n,k](fn), applicable where (n,k) matches a representable primitive:
     the order-m creator (m,0), annihilator (0,m), number (m-1,m-1) or the
     central scalar (0,0)."""
@@ -600,8 +590,8 @@ class GeneratorOp(RepOperator):
         return f"B[{self.n},{self.k}]({self.fn})"
 
 
-class ScaledCommutatorOp(RepOperator):
-    def __init__(self, scale: ComplexRational, left: RepOperator, right: RepOperator):
+class ScaledCommutatorOp:
+    def __init__(self, scale: ComplexRational, left: GeneratorOp, right: GeneratorOp):
         self.scale = scale
         self.left = left
         self.right = right
@@ -618,7 +608,7 @@ class ScaledCommutatorOp(RepOperator):
 
 def generic_rep_build(
     n: int, k: int, N: int, K: int, g: StepFunction, f: StepFunction
-) -> RepOperator:
+) -> ScaledCommutatorOp:
     """Represent B[n+N-1, k+K-1](g f) as (kN - Kn)^(-1) [B[n,k](g), B[N,K](f)].
 
     The factors must resolve to representable primitives on the space the

@@ -1,9 +1,12 @@
+import cmath
+import io
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,8 @@ from scipy.integrate import quad
 
 from conftest import mupoly_to_sympy
 from rhpwn import processes
+from rhpwn.algebra import order_constants
+from rhpwn.cli import main as cli_main
 from rhpwn.errors import DomainError, OutOfScopeError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.processes import (
@@ -339,6 +344,66 @@ def test_scaled_density_mgf(n, s):
     )
     want = mgf_eval(n, s, t)
     assert abs(got - want) <= 1e-6 * want
+
+
+def _density_three_log_gammas(t, x):
+    # the formula as written, with log Gamma(t) and the conjugate term per point
+    value = cmath.exp(
+        (t - 1) * math.log(2)
+        - math.log(2 * math.pi)
+        + complex_log_gamma(complex(t, x) / 2)
+        + complex_log_gamma(complex(t, -x) / 2)
+        - complex_log_gamma(complex(t, 0))
+    )
+    return value.real
+
+
+def test_density_bits_match_three_log_gamma_formula():
+    rng = random.Random(2024)
+    ts = [1e-4, 3e-4, 1.5e-3, 0.5, 1.0, 2.0, 50.0]
+    ts += [rng.uniform(1e-4, 2e-3) for _ in range(20)]
+    ts += [rng.uniform(2e-3, 50.0) for _ in range(40)]
+    xs = [0.0, -0.0, 60.0, -60.0, 1e-300] + [rng.uniform(-60.0, 60.0) for _ in range(40)]
+    for t in ts:
+        dens = SecantDensity(t)
+        for x in xs:
+            want = _density_three_log_gammas(t, x)
+            assert density_p(t, x) == want, (t, x)
+            assert dens(x) == want, (t, x)
+    for n in (2, 3, 4):
+        c = order_constants(n)[1]
+        sigma = math.sqrt(c)
+        for t in ts[:30]:
+            tau = n * t / c
+            for y in xs:
+                want = _density_three_log_gammas(tau, y / sigma) / sigma
+                assert density_q_scaled(n, t, y) == want, (n, t, y)
+
+
+@pytest.fixture
+def log_gamma_counter(monkeypatch):
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return complex_log_gamma(z)
+
+    monkeypatch.setattr(processes, "complex_log_gamma", counting)
+    return calls
+
+
+def test_secant_density_takes_one_log_gamma_per_point(log_gamma_counter):
+    dens = SecantDensity(2.0)
+    assert len(log_gamma_counter) == 1
+    for m, x in enumerate([0.0, 0.5, -3.0, 17.0], start=1):
+        dens(x)
+        assert len(log_gamma_counter) == m + 1
+
+
+def test_density_cli_takes_one_log_gamma_per_point(log_gamma_counter):
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(["density", "--t", "2", "--x-grid", "0:1:1/10"]) == 0
+    assert len(log_gamma_counter) == 12
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0, 8.0])

@@ -315,6 +315,39 @@ def test_mode_agreement_low_order_random_length_six(n):
         )
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_mode_vacuum_moments_agree_to_length_four(n):
+    # past n = 2 the states differ, but the Phi coefficients agree on every
+    # word of length <= 4 and on all but one word of length 5
+    import itertools
+
+    generators = [(n, 0), (0, n), (n - 1, n - 1)]
+
+    def phi_coefficients(length):
+        for indices in itertools.product(generators, repeat=length):
+            w = word(*indices)
+            truncated = dict(reduce_truncated(n, w)).get(0, MuPoly.zero())
+            yield indices, truncated, vacuum_expectation(w)
+
+    checked = 0
+    for length in range(1, 5):
+        for indices, truncated, untruncated in phi_coefficients(length):
+            assert truncated == untruncated, indices
+            checked += 1
+    assert checked == 120
+
+    differing = [
+        (indices, truncated, untruncated)
+        for indices, truncated, untruncated in phi_coefficients(5)
+        if truncated != untruncated
+    ]
+    [(indices, truncated, untruncated)] = differing
+    assert indices == ((0, n), (0, n), (n - 1, n - 1), (n, 0), (n, 0))
+    if n == 3:
+        assert truncated == MuPoly([0, 1944, 270, 6])
+        assert untruncated == MuPoly([0, 2916, 270, 6])
+
+
 def test_mode_disagreement_at_higher_order():
     # for n >= 3 the untruncated action leaves the number-vector line
     n = 3
