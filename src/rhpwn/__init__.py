@@ -66,6 +66,7 @@ from .processes import (
     mgf_series,
     riccati_split,
     sample_X,
+    scaled_density,
     splitting_series_check,
 )
 from .rewrite import (

@@ -1,16 +1,16 @@
 """Batch command-line front end.
 
-One subcommand per library operation, JSON on stdout by default, CSV with
---format csv; exact rationals are emitted as "p/q" strings and floats with
-17 significant digits, so identical invocations produce byte-identical
-output.  Exit codes: 0 success, 2 domain or input errors, 1 internal
-failure.
+One subcommand per library operation.  Each handler returns one JSON object;
+it goes to stdout as JSON by default, and with --format csv its rows are
+rendered from that same object.  Exact rationals are emitted as "p/q"
+strings and floats with 17 significant digits, so identical invocations
+produce byte-identical output.  Exit codes: 0 success, 2 domain or input
+errors, 1 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -94,46 +94,10 @@ def _parse_grid(spec: str):
         raise SchemaError(
             "", f"grid {spec!r} has {count} points, more than the cap {MAX_GRID_POINTS}"
         )
-    values = []
-    v = start
-    while v <= stop + step / 1000:
-        values.append(v)
-        v += step
-    return values
+    return [start + i * step for i in range(count)]
 
 
-def _element_rows(encoded):
-    rows = [("tag", "n", "k", "a", "b", "re", "im")]
-    for term in encoded:
-        for piece in term["pieces"]:
-            rows.append(
-                (
-                    term["tag"],
-                    term["n"],
-                    term["k"],
-                    piece["a"],
-                    piece["b"],
-                    piece["re"],
-                    piece["im"],
-                )
-            )
-    return rows
-
-
-def _kv_rows(obj, prefix=""):
-    rows = []
-    for key, value in obj.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rows.extend(_kv_rows(value, prefix=f"{name}."))
-        elif isinstance(value, list):
-            rows.append((name, ";".join(str(v) for v in value)))
-        else:
-            rows.append((name, value))
-    return rows
-
-
-# -- handlers: each returns (json_object, csv_rows) ---------------------------
+# -- handlers: each returns its JSON object ---------------------------------
 
 
 def _cmd_commutator(args):
@@ -141,49 +105,36 @@ def _cmd_commutator(args):
     obj = jsonio._require_object(payload, "", required=("a", "b"))
     a = jsonio.decode_element(obj["a"], "/a")
     b = jsonio.decode_element(obj["b"], "/b")
-    encoded = jsonio.encode_element(commutator(a, b))
-    return encoded, _element_rows(encoded)
+    return jsonio.encode_element(commutator(a, b))
 
 
 def _cmd_involute(args):
     payload = _read_payload(args)
     obj = jsonio._require_object(payload, "", required=("a",))
     a = jsonio.decode_element(obj["a"], "/a")
-    encoded = jsonio.encode_element(involution(a))
-    return encoded, _element_rows(encoded)
+    return jsonio.encode_element(involution(a))
 
 
 def _cmd_stirling(args):
     _check_cap("stirling --n", args.n, MAX_STIRLING_N)
-    value = stirling_first(args.n, args.k)
-    obj = {"n": args.n, "k": args.k, "value": str(value)}
-    return obj, [("n", "k", "value"), (args.n, args.k, value)]
+    return {"n": args.n, "k": args.k, "value": str(stirling_first(args.n, args.k))}
 
 
 def _cmd_normal_order(args):
     _check_cap("normal-order --n", args.n, MAX_STIRLING_N)
     terms = normal_order_expansion(args.n)
-    obj = {"n": args.n, "terms": [{"power": m, "coeff": str(c)} for m, c in terms]}
-    rows = [("power", "coeff")] + [(m, c) for m, c in terms]
-    return obj, rows
+    return {"n": args.n, "terms": [{"power": m, "coeff": str(c)} for m, c in terms]}
 
 
 def _cmd_vacuum_moment(args):
     word = jsonio.decode_word(_read_payload(args), "")
-    poly = vacuum_expectation(word)
-    obj = jsonio.encode_mu_poly(poly)
-    rows = [("degree", "coeff")] + [(d, c) for d, c in enumerate(poly.to_strings())]
-    return obj, rows
+    return jsonio.encode_mu_poly(vacuum_expectation(word))
 
 
 def _cmd_kernel(args):
     _check_cap("kernel --k", args.k, MAX_KERNEL_K)
     pi, h = fock.kernel_values(args.n, args.k)
-    obj = {"n": args.n, "k": args.k, "pi": pi.to_strings(), "h": h.to_strings()}
-    rows = [("degree", "pi", "h")]
-    for d in range(max(len(pi.coeffs), len(h.coeffs))):
-        rows.append((d, str(pi.coefficient(d)), str(h.coefficient(d))))
-    return obj, rows
+    return {"n": args.n, "k": args.k, "pi": pi.to_strings(), "h": h.to_strings()}
 
 
 def _cmd_gram(args):
@@ -199,18 +150,13 @@ def _cmd_gram(args):
     matrix = [
         [{"re": _fmt(z.real), "im": _fmt(z.imag)} for z in row] for row in report.matrix
     ]
-    out = {
+    return {
         "n": n,
         "tol": _fmt(tol),
         "matrix": matrix,
         "min_eigenvalue": _fmt(report.min_eigenvalue),
         "verdict": "PSD" if report.psd else "NOT_PSD",
     }
-    rows = [("i", "j", "re", "im")]
-    for i, row in enumerate(report.matrix):
-        for j, z in enumerate(row):
-            rows.append((i, j, _fmt(z.real), _fmt(z.imag)))
-    return out, rows
 
 
 def _cmd_inner_product(args):
@@ -220,14 +166,13 @@ def _cmd_inner_product(args):
     f = jsonio.decode_step_function(obj["f"], "/f")
     g = jsonio.decode_step_function(obj["g"], "/g")
     value = fock.exp_inner_product(n, f, g)
-    out = {"n": n, "re": _fmt(value.real), "im": _fmt(value.imag)}
-    return out, [("re", "im"), (_fmt(value.real), _fmt(value.imag))]
+    return {"n": n, "re": _fmt(value.real), "im": _fmt(value.imag)}
 
 
 def _cmd_nogo(args):
     report = nogo.nogo_report(args.n, args.mu)
     (a11, a12), (_, a22) = report.entries
-    out = {
+    return {
         "n": report.n,
         "entries": [
             [a11.to_strings(), a12.to_strings()],
@@ -239,12 +184,11 @@ def _cmd_nogo(args):
         "mu": fraction_str(report.mu) if report.mu is not None else None,
         "verdict": None if report.psd is None else ("PSD" if report.psd else "NOT_PSD"),
     }
-    return out, _kv_rows(out)
 
 
 def _cmd_split_check(args):
     report = processes.splitting_series_check(args.n, args.order)
-    out = {
+    return {
         "n": report.n,
         "order": report.order,
         "passed": report.passed,
@@ -254,17 +198,14 @@ def _cmd_split_check(args):
             else dict(zip(("j", "k", "lhs", "rhs"), report.first_mismatch))
         ),
     }
-    return out, _kv_rows({k: v for k, v in out.items() if k != "first_mismatch"})
 
 
 def _cmd_mgf(args):
-    rows = [("s", "closed_form")]
-    body = []
-    for s in _parse_grid(args.s_grid):
-        value = processes.mgf_eval(args.n, float(s), args.t)
-        rows.append((_fmt(s), _fmt(value)))
-        body.append({"s": _fmt(s), "value": _fmt(value)})
-    return {"n": args.n, "t": _fmt(args.t), "rows": body}, rows
+    body = [
+        {"s": _fmt(s), "value": _fmt(processes.mgf_eval(args.n, float(s), args.t))}
+        for s in _parse_grid(args.s_grid)
+    ]
+    return {"n": args.n, "t": _fmt(args.t), "rows": body}
 
 
 def _cmd_density(args):
@@ -272,23 +213,20 @@ def _cmd_density(args):
     if args.n is None:
         density = processes.SecantDensity(args.t)
     else:
-        density = functools.partial(processes.density_q_scaled, args.n, args.t)
-    rows = [("x", "p")]
-    body = []
-    for x in xs:
-        value = density(float(x))
-        rows.append((_fmt(x), _fmt(value)))
-        body.append({"x": _fmt(x), "p": _fmt(value)})
-    return {"t": _fmt(args.t), "n": args.n, "rows": body}, rows
+        density = processes.scaled_density(args.n, args.t)
+    body = [{"x": _fmt(x), "p": _fmt(density(float(x)))} for x in xs]
+    return {"t": _fmt(args.t), "n": args.n, "rows": body}
 
 
 def _cmd_sample(args):
     _check_cap("sample count", args.count, MAX_SAMPLE_COUNT)
     samples = processes.sample_X(args.t, args.count, args.seed)
-    lines = [_fmt(x) for x in samples]
-    return {"t": _fmt(args.t), "count": args.count, "seed": args.seed, "samples": lines}, [
-        (line,) for line in lines
-    ]
+    return {
+        "t": _fmt(args.t),
+        "count": args.count,
+        "seed": args.seed,
+        "samples": [_fmt(x) for x in samples],
+    }
 
 
 def _cmd_classical_check(args):
@@ -308,13 +246,62 @@ def _cmd_classical_check(args):
         for i, item in enumerate(jsonio._require_list(obj["horizon"], "/horizon"))
     ]
     report = processes.classical_check(coeffs, horizon)
-    out = {
+    return {
         "classical": report.classical,
         "hermitian": report.hermitian,
         "commuting": report.commuting,
         "witness": report.witness,
     }
-    return out, _kv_rows(out)
+
+
+# -- CSV rows, rendered from a handler's JSON object -------------------------
+
+
+def _element_rows(obj):
+    return [("tag", "n", "k", "a", "b", "re", "im")] + [
+        (term["tag"], term["n"], term["k"], p["a"], p["b"], p["re"], p["im"])
+        for term in obj
+        for p in term["pieces"]
+    ]
+
+
+def _kv_rows(obj, prefix=""):
+    rows = []
+    for key, value in obj.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            rows.extend(_kv_rows(value, prefix=f"{name}."))
+        elif isinstance(value, list):
+            rows.append((name, ";".join(str(v) for v in value)))
+        else:
+            rows.append((name, value))
+    return rows
+
+
+def _gram_rows(obj):
+    rows = [("i", "j", "re", "im")]
+    for i, row in enumerate(obj["matrix"]):
+        rows.extend((i, j, z["re"], z["im"]) for j, z in enumerate(row))
+    return rows
+
+
+# One row function per subcommand; the rest (nogo, classical-check) use _kv_rows.
+_CSV_ROWS = {
+    "commutator": _element_rows,
+    "involute": _element_rows,
+    "stirling": lambda o: [("n", "k", "value"), (o["n"], o["k"], o["value"])],
+    "normal-order": lambda o: [("power", "coeff")]
+    + [(t["power"], t["coeff"]) for t in o["terms"]],
+    "vacuum-moment": lambda o: [("degree", "coeff")] + list(enumerate(o["mu_poly"])),
+    "kernel": lambda o: [("degree", "pi", "h")]
+    + [(d, pi, h) for d, (pi, h) in enumerate(zip(o["pi"], o["h"]))],
+    "gram": _gram_rows,
+    "inner-product": lambda o: [("re", "im"), (o["re"], o["im"])],
+    "split-check": lambda o: _kv_rows({k: v for k, v in o.items() if k != "first_mismatch"}),
+    "mgf": lambda o: [("s", "closed_form")] + [(r["s"], r["value"]) for r in o["rows"]],
+    "density": lambda o: [("x", "p")] + [(r["x"], r["p"]) for r in o["rows"]],
+    "sample": lambda o: [(line,) for line in o["samples"]],
+}
 
 
 _HANDLERS = {
@@ -407,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        json_obj, csv_rows = handler(args)
+        json_obj = handler(args)
     except SchemaError as exc:
         print(json.dumps({"error": str(exc), "pointer": exc.pointer}), file=sys.stderr)
         return 2
@@ -420,14 +407,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if args.command == "sample" else "json"
+    fmt = args.format or ("csv" if args.command == "sample" else "json")
     if fmt == "json":
         json.dump(json_obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        _write_csv(csv_rows, sys.stdout)
+        _write_csv(_CSV_ROWS.get(args.command, _kv_rows)(json_obj), sys.stdout)
     return 0
 
 

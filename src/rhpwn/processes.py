@@ -50,23 +50,34 @@ class SplittingSolution:
     w_series: tuple  # MuPoly, degree <= 1 in mu
 
     def v_eval(self, s: float) -> float:
-        n = self.n
-        if n == 1:
+        if self.n == 1:
             return float(s)
-        a = math.sqrt(order_constants(n)[1])
-        if abs(s) * a >= math.pi / 2:
-            raise DomainError(f"V_{n} singular at |s| >= {math.pi / (2 * a)}")
+        _, a = _inside_pole(self.n, s)
         return math.tan(a * s) / a
 
     def w_eval(self, s: float, mu: float) -> float:
-        n = self.n
-        if n == 1:
-            return s * s * mu / 2
-        c = order_constants(n)[1]
-        a = math.sqrt(c)
-        if abs(s) * a >= math.pi / 2:
-            raise DomainError(f"W_{n} singular at |s| >= {math.pi / (2 * a)}")
-        return -(n * mu / c) * math.log(math.cos(a * s))
+        return _w_closed_form(self.n, s, mu)
+
+
+def _inside_pole(n: int, s: float):
+    """(c, sqrt c) for order n >= 2, once |s| sqrt(c) < pi/2 is checked: V_n,
+    W_n and the MGF all have their pole at |s| = pi / (2 sqrt c)."""
+    c = order_constants(n)[1]
+    a = math.sqrt(c)
+    if abs(s) * a >= math.pi / 2:
+        raise DomainError(
+            f"|s| must stay below {math.pi / (2 * a):.6g} for n={n}: "
+            f"V_{n}, W_{n} and the MGF are singular there"
+        )
+    return c, a
+
+
+def _w_closed_form(n: int, s: float, mu: float) -> float:
+    """W_n(s) = -(n mu / c) ln cos(sqrt(c) s); mu s^2 / 2 for n = 1."""
+    if n == 1:
+        return s * s * mu / 2
+    c, a = _inside_pole(n, s)
+    return -(n * mu / c) * math.log(math.cos(a * s))
 
 
 def riccati_split(n: int, order: int = 16) -> SplittingSolution:
@@ -169,23 +180,13 @@ def mgf_eval(n: int, s: float, t: float) -> float:
     """Closed-form MGF of the order-n field process at time t.
 
     n = 1: exp(s^2 t / 2); n >= 2: (sec(a s))^(2 n t/(n^3(n-1))) with
-    a = sqrt(n^3(n-1)/2), valid for |s| a < pi/2.
+    a = sqrt(n^3(n-1)/2), valid for |s| a < pi/2; that is exp(W_n(s)) at mu = t.
     """
     if n < 1:
         raise DomainError(f"Fock order must be >= 1, got {n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
-    s = float(s)
-    if n == 1:
-        return math.exp(s * s * t / 2)
-    c = order_constants(n)[1]
-    a = math.sqrt(c)
-    if abs(s) * a >= math.pi / 2:
-        raise DomainError(
-            f"MGF argument |s| must stay below {math.pi / (2 * a):.6g} for n={n}"
-        )
-    exponent = n * t / c
-    return math.exp(-exponent * math.log(math.cos(a * s)))
+    return math.exp(_w_closed_form(n, float(s), t))
 
 
 def mgf_series(n: int, order: int):
@@ -272,17 +273,25 @@ def density_p(t: float, x: float) -> float:
     return SecantDensity(t)(x)
 
 
-def density_q_scaled(n: int, t: float, y: float) -> float:
-    """Density of the order-n field process: sigma X_tau with
-    sigma = sqrt(n^3(n-1)/2) and tau = 2 n t/(n^3(n-1))."""
+def scaled_density(n: int, t: float):
+    """Density y -> p_tau(y / sigma) / sigma of the order-n field process
+    sigma X_tau, with sigma = sqrt(n^3(n-1)/2) and tau = 2 n t/(n^3(n-1)).
+
+    One `SecantDensity(tau)` serves every point, so each point takes one
+    log-Gamma."""
     if n < 2:
         raise OutOfScopeError(f"the scaled density concerns n >= 2, got n={n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
     c = order_constants(n)[1]
     sigma = math.sqrt(c)
-    tau = n * t / c
-    return density_p(tau, y / sigma) / sigma
+    dens = SecantDensity(n * t / c)
+    return lambda y: dens(y / sigma) / sigma
+
+
+def density_q_scaled(n: int, t: float, y: float) -> float:
+    """One point of `scaled_density(n, t)`."""
+    return scaled_density(n, t)(y)
 
 
 class SecantDensity:

@@ -156,13 +156,14 @@ def test_order_constants_closed_forms():
             assert Fraction(1, c) == Fraction(2, n**3 * (n - 1))
 
 
-def test_stirling_cache_grows_safely_under_threads():
+def test_stirling_cache_grows_safely_under_threads(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     import rhpwn.algebra as alg
 
-    # reset the module table so every worker races to extend it
-    alg._TABLE = StirlingTable(4)
+    # a small table so every worker races to extend it; later tests get the
+    # module's own table back
+    monkeypatch.setattr(alg, "_TABLE", StirlingTable(4))
     rows = range(5, 60)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda n: stirling_first(n, n - 1), rows))

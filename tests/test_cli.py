@@ -2,6 +2,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +231,49 @@ def test_grid_cap(capsys, monkeypatch):
         cli_mod._parse_grid("0:5:1")
 
 
+def _grid_by_loop(spec):
+    # the grid as it was built before: a running sum up to stop + step/1000
+    start, stop, step = (Fraction(p) for p in spec.split(":"))
+    values = []
+    v = start
+    while v <= stop + step / 1000:
+        values.append(v)
+        v += step
+    return values
+
+
+def test_grid_matches_running_sum():
+    import rhpwn.cli as cli_mod
+
+    specs = [
+        "0:1:0.3",  # step does not divide the range
+        "0:6001/6000:1/3",  # stop just above a grid point
+        "0:5999/6000:1/3",  # stop within step/1000 below a grid point
+        "0:2999/3000:1/3",  # stop exactly step/1000 below a grid point
+        "0:2998/3000:1/3",  # stop just past step/1000 below a grid point
+        "2:2:1",  # one point
+        "1/3:1/3:1/7",
+        "-3:3:1/4",
+        "-1:-1/2:0.1",
+        "-7/3:5/6:2/9",
+    ]
+    rng = random.Random(1234)
+    for _ in range(200):
+        start = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
+        step = Fraction(rng.randint(1, 300), rng.randint(1, 90))
+        near = Fraction(rng.randint(-3, 3), 1000 * rng.randint(1, 3))
+        stop = start + step * (rng.randint(0, 40) + near)
+        if stop >= start:
+            specs.append(f"{start}:{stop}:{step}")
+    for spec in specs:
+        got = cli_mod._parse_grid(spec)
+        want = _grid_by_loop(spec)
+        assert got == want, spec
+        assert [(v.numerator, v.denominator) for v in got] == [
+            (v.numerator, v.denominator) for v in want
+        ], spec
+
+
 def _never(*_args, **_kwargs):
     raise AssertionError("the library must not be called")
 
@@ -302,3 +346,187 @@ def test_byte_identical_reruns():
         _, a = run_cli(list(argv))
         _, b = run_cli(list(argv))
         assert a == b
+
+
+# -- pinned stdout bytes ---------------------------------------------------------
+
+_PIECE = {"a": "0", "b": "1", "re": "1/5", "im": "0"}
+_COMMUTATOR_PAYLOAD = {
+    "a": [
+        {"tag": "RHPWN", "n": 2, "k": 1, "pieces": [
+            {"a": "0", "b": "1", "re": "1", "im": "1/2"},
+            {"a": "1", "b": "3", "re": "-2/3", "im": "0"},
+        ]},
+        {"tag": "RHPWN", "n": 0, "k": 2, "pieces": [{"a": "1/2", "b": "2", "re": "1", "im": "0"}]},
+    ],
+    "b": [{"tag": "RHPWN", "n": 1, "k": 2, "pieces": [{"a": "0", "b": "2", "re": "3", "im": "-1"}]}],
+}
+_WINFTY_PAYLOAD = {
+    "a": [{"tag": "WINFTY", "n": 3, "k": 1, "pieces": [{"a": "0", "b": "1", "re": "1", "im": "0"}]}],
+    "b": [{"tag": "WINFTY", "n": 2, "k": 2, "pieces": [{"a": "1/3", "b": "3/2", "re": "0", "im": "2"}]}],
+}
+_WORD = [{"n": 0, "k": 2}, {"n": 1, "k": 1}, {"n": 0, "k": 1}, {"n": 1, "k": 0}, {"n": 2, "k": 0}]
+_GRAM = {
+    "n": 2,
+    "fs": [
+        [],
+        [_PIECE],
+        [{"a": "0", "b": "1/2", "re": "0", "im": "1/3"}, {"a": "1/2", "b": "2", "re": "1/4", "im": "0"}],
+    ],
+    "tol": "1/10000000000",
+}
+_INNER = {
+    "n": 2,
+    "f": [_PIECE, {"a": "1", "b": "3/2", "re": "-1/7", "im": "1/9"}],
+    "g": [{"a": "1/2", "b": "2", "re": "1/8", "im": "-1/6"}],
+}
+_CLASSICAL = {
+    "coeffs": [{"n": 2, "k": 0, "re": "1", "im": "1/2"}, {"n": 0, "k": 2, "re": "1", "im": "-1/2"}],
+    "horizon": ["1", "3/2"],
+}
+_NOT_HERMITIAN = {
+    "coeffs": [{"n": 2, "k": 1, "re": "1"}, {"n": 1, "k": 2, "re": "2"}, {"n": 1, "k": 1, "re": "3"}],
+    "horizon": ["1/2", "2"],
+}
+
+# (name, argv, payload): every subcommand, payload commands, density with and
+# without --n, and grids with negative starts.
+_PINNED_CASES = [
+    ("commutator", ["commutator"], _COMMUTATOR_PAYLOAD),
+    ("commutator-winfty", ["commutator"], _WINFTY_PAYLOAD),
+    ("involute", ["involute"], {"a": _COMMUTATOR_PAYLOAD["a"]}),
+    ("stirling", ["stirling", "--n", "9", "--k", "4"], None),
+    ("normal-order", ["normal-order", "--n", "6"], None),
+    ("vacuum-moment", ["vacuum-moment"], _WORD),
+    ("kernel", ["kernel", "--n", "3", "--k", "5"], None),
+    ("gram", ["gram"], _GRAM),
+    ("inner-product", ["inner-product"], _INNER),
+    ("nogo-mu", ["nogo", "--n", "3", "--mu", "37/2"], None),
+    ("nogo", ["nogo", "--n", "4"], None),
+    ("split-check", ["split-check", "--n", "3", "--order", "6"], None),
+    ("mgf", ["mgf", "--n", "2", "--t", "1.5", "--s-grid=-0.7:0.7:0.1"], None),
+    ("mgf-n1", ["mgf", "--n", "1", "--t", "2", "--s-grid", "0:1:1/3"], None),
+    ("density", ["density", "--t", "2", "--x-grid=-3:3:1/4"], None),
+    ("density-n", ["density", "--t", "0.5", "--n", "3", "--x-grid=-2:2:0.3"], None),
+    ("sample", ["sample", "--t", "2", "--count", "20", "--seed", "7"], None),
+    ("sample-small-t", ["sample", "--t", "0.7", "--count", "5", "--seed", "3"], None),
+    ("classical-check", ["classical-check"], _CLASSICAL),
+    ("classical-check-witness", ["classical-check"], _NOT_HERMITIAN),
+]
+
+# SHA-256 of stdout for the default format, --format json and --format csv.
+_PINNED_DIGESTS = {
+    "commutator": (
+        "ed3a633845dcb9fab7cce300005ed81c810906ea664d25b81e26557b0034356f",
+        "ed3a633845dcb9fab7cce300005ed81c810906ea664d25b81e26557b0034356f",
+        "2e66175c5709fa95edfda5e9674bd6cd0f774c883f71aba7b235a431f647c06b",
+    ),
+    "commutator-winfty": (
+        "1bd3e36b32982fb1dca44f9ff888889286271c25466460f5d53a9c7c05565dcc",
+        "1bd3e36b32982fb1dca44f9ff888889286271c25466460f5d53a9c7c05565dcc",
+        "5e6f13cd2d05103eb259b0c87b907a7472115b059d205f4a98e45ad2764d3a45",
+    ),
+    "involute": (
+        "3235c6abe4d3517c9c687f886bbdb6a94bf01743bb90b1d1b68a7c3122a57671",
+        "3235c6abe4d3517c9c687f886bbdb6a94bf01743bb90b1d1b68a7c3122a57671",
+        "604544a9aad730c75edc862adccd70fede9a863a3e5722841eb15cc05f979e72",
+    ),
+    "stirling": (
+        "aa8b0bf30512b8cbd323fbb44f3b67ca5354c82bfcb5aa8fcbda14a9823a28ac",
+        "aa8b0bf30512b8cbd323fbb44f3b67ca5354c82bfcb5aa8fcbda14a9823a28ac",
+        "3ff421b5f26738d48ba287dac94ac4e278621305d6da5f93fbe23c417487674a",
+    ),
+    "normal-order": (
+        "b442e9f5c100731b519bb96854f2cc2f059227e2de6caaecf6fde606b9e3cd4f",
+        "b442e9f5c100731b519bb96854f2cc2f059227e2de6caaecf6fde606b9e3cd4f",
+        "8a09f31f2bc223880e217de92533ee6a83ff56e86a01d41d2b5f54a2920aca3a",
+    ),
+    "vacuum-moment": (
+        "61f95b3140b76bbf3db45c81b2f8cc36415fb304df4e9916558ddc7860472116",
+        "61f95b3140b76bbf3db45c81b2f8cc36415fb304df4e9916558ddc7860472116",
+        "b7a0f138fa40bc052a8ae50b50daf176112bce8e590cbd626f320308ec24f91c",
+    ),
+    "kernel": (
+        "0211b3edf6557fc8bc909435e086cb8d3d804dd65c7d6873a929f65c16c2bc6a",
+        "0211b3edf6557fc8bc909435e086cb8d3d804dd65c7d6873a929f65c16c2bc6a",
+        "893d877adff96e61f78ee26bccef3fda1e65aed75fd50eb460a3f7dc7fa31899",
+    ),
+    "gram": (
+        "0e6316a4a3a4416a60f0df32f46e355e8aaf0e9f59c9fbcbe302b643cf3c14fe",
+        "0e6316a4a3a4416a60f0df32f46e355e8aaf0e9f59c9fbcbe302b643cf3c14fe",
+        "5339ad7288f3a7749f4627862155aaa54b53dcfa26860d3a66d93c6e8729f503",
+    ),
+    "inner-product": (
+        "b5a160d3d8245c284b9cd2073471d68d802560bc9f2243fc2a790b15981f7156",
+        "b5a160d3d8245c284b9cd2073471d68d802560bc9f2243fc2a790b15981f7156",
+        "14956799e6f7ac42df11bb7e69f971f9183c0d49b26fb6c48e7fed40ba91a881",
+    ),
+    "nogo-mu": (
+        "fd5a538a17aa6b0609c9f31a78b259bdcc021ae3fc40c5b0504df6281b51f7ad",
+        "fd5a538a17aa6b0609c9f31a78b259bdcc021ae3fc40c5b0504df6281b51f7ad",
+        "40d7f6371497140956c3f2a8c4cb2f184f8b66b83f80ea4eff24a0ad25967d0c",
+    ),
+    "nogo": (
+        "1ab17c74c39523816f6987f452f7f5b264ac51d85c30f687ac3e96f979ae0023",
+        "1ab17c74c39523816f6987f452f7f5b264ac51d85c30f687ac3e96f979ae0023",
+        "2f014a66318f7681d40f67653d7b5bd6108549cd2d062e0c6d6e5dbe99ecb291",
+    ),
+    "split-check": (
+        "f5149c4982109685be13567c39c6dc33c69083565bd171a8b8220a32280639fe",
+        "f5149c4982109685be13567c39c6dc33c69083565bd171a8b8220a32280639fe",
+        "3c5bf0756239d7904356a56c3ea6dda1a74edefa06e31d93c2497a04280616e4",
+    ),
+    "mgf": (
+        "d8584961870505127d1a566ac0c100770ff918533f5cdd56c36e21dcd29ed986",
+        "d8584961870505127d1a566ac0c100770ff918533f5cdd56c36e21dcd29ed986",
+        "db4a3569061b5e1fa055627e36682d77a890e6943f64d15756813a6accf11531",
+    ),
+    "mgf-n1": (
+        "eb9e5e700283c218a120ae157748988ca7b3ae52adca0ef28f00139161d3ee30",
+        "eb9e5e700283c218a120ae157748988ca7b3ae52adca0ef28f00139161d3ee30",
+        "5450931757278f9dea275b3637a24233ee89fb5f701176e98855f505ab5f98df",
+    ),
+    "density": (
+        "03ca73187d16285b6cd79367ca6b47b594641a458a58108dbdf2147cb0bb5b15",
+        "03ca73187d16285b6cd79367ca6b47b594641a458a58108dbdf2147cb0bb5b15",
+        "a389d7f2fc8110f81c59c056da527c0f4e8c6896734d804c587b9a431379b9b9",
+    ),
+    "density-n": (
+        "b6800053bc8748527b03cdd23092c88b4cdec51fd85b81fb134c5da78c93ec34",
+        "b6800053bc8748527b03cdd23092c88b4cdec51fd85b81fb134c5da78c93ec34",
+        "6680687a43d4b87a8b0999f9f417edc4abb157cb6ad275c0cd9ba02ebbeff33c",
+    ),
+    "sample": (
+        "045c5c2ebc2868907109fd4da94f9f5f421a3f6358d2e348923b1edb501f79ec",
+        "6ff47ba390c204f15148c7cf23d4affd7a2d95231b2bcb165a393876ffca9a10",
+        "045c5c2ebc2868907109fd4da94f9f5f421a3f6358d2e348923b1edb501f79ec",
+    ),
+    "sample-small-t": (
+        "5e400655e78e05ad7314b8873cb4393f0bfbf4c476235bf1dd7ed2317d13f403",
+        "78667bc9a4336d30a7e26fcff444e6c283d2b809ff586c1903d6603ed252d917",
+        "5e400655e78e05ad7314b8873cb4393f0bfbf4c476235bf1dd7ed2317d13f403",
+    ),
+    "classical-check": (
+        "d9916332e9f5615e4e73d9635cf5f7bf5d809ff2d064304fedcf0f2a17992c7e",
+        "d9916332e9f5615e4e73d9635cf5f7bf5d809ff2d064304fedcf0f2a17992c7e",
+        "f58a9327d3fdcc635bbdb081d882ac3a1246d06b06d5daddd97d874cc5e959d5",
+    ),
+    "classical-check-witness": (
+        "8d48ac3fef8f99cbe0a56f0127a758105ffc100140968f422518d9243ae8d40c",
+        "8d48ac3fef8f99cbe0a56f0127a758105ffc100140968f422518d9243ae8d40c",
+        "8478171c420e3aef28032929476f31a5ce4d72ae537c46d1f37d6657d4d689e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", [None, "json", "csv"])
+@pytest.mark.parametrize("name,argv,payload", _PINNED_CASES, ids=[c[0] for c in _PINNED_CASES])
+def test_stdout_bytes_are_pinned(monkeypatch, name, argv, payload, fmt):
+    import hashlib
+
+    argv = argv + (["--format", fmt] if fmt else [])
+    stdin_text = None if payload is None else json.dumps(payload)
+    code, text = run_cli(argv, stdin_text, monkeypatch)
+    assert code == 0
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _PINNED_DIGESTS[name][[None, "json", "csv"].index(fmt)]

@@ -406,6 +406,21 @@ def test_density_cli_takes_one_log_gamma_per_point(log_gamma_counter):
     assert len(log_gamma_counter) == 12
 
 
+def test_scaled_density_cli_takes_one_log_gamma_per_point(log_gamma_counter):
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(["density", "--n", "2", "--t", "1", "--x-grid", "0:1:1/10"]) == 0
+    assert len(log_gamma_counter) == 12
+
+
+def test_scaled_density_reused_matches_one_point_form():
+    rng = random.Random(808)
+    for n in (2, 3, 5):
+        t = rng.uniform(0.05, 8.0)
+        dens = processes.scaled_density(n, t)
+        for y in [0.0, -0.0] + [rng.uniform(-60.0, 60.0) for _ in range(30)]:
+            assert dens(y) == density_q_scaled(n, t, y), (n, t, y)
+
+
 @pytest.mark.parametrize("t", [0.3, 2.0, 8.0])
 @pytest.mark.parametrize("s", [0.0, 0.5])
 def test_quad_against_scipy(t, s):
