@@ -265,6 +265,17 @@ def _element_rows(obj):
     ]
 
 
+def _csv_cell(value) -> str:
+    """A cell as `csv.writer` writes it: None is empty, and a cell holding a
+    comma, a quote or a line break is quoted, its quotes doubled."""
+    if value is None:
+        return ""
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _kv_rows(obj, prefix=""):
     rows = []
     for key, value in obj.items():
@@ -272,9 +283,9 @@ def _kv_rows(obj, prefix=""):
         if isinstance(value, dict):
             rows.extend(_kv_rows(value, prefix=f"{name}."))
         elif isinstance(value, list):
-            rows.append((name, ";".join(str(v) for v in value)))
+            rows.append((name, _csv_cell(";".join(str(v) for v in value))))
         else:
-            rows.append((name, value))
+            rows.append((name, _csv_cell(value)))
     return rows
 
 
@@ -384,6 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(rows, stream):
+    # Cells are written as str(cell), with no per-cell check: every table but
+    # _kv_rows holds numbers and exact-rational strings only, and _kv_rows,
+    # whose values can be free text, lists or null, quotes its own cells.
     for row in rows:
         stream.write(",".join(str(cell) for cell in row))
         stream.write("\n")

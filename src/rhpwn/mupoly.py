@@ -2,30 +2,80 @@
 
 Vacuum moments, Fock kernels and no-go minors are all polynomials in the
 measure mu of the fixed reference interval.  Coefficients live in Q(i) so
-words with complex test functions stay exact.
+words with complex test functions stay exact.  Internally a polynomial is a
+tuple of Gaussian-integer numerators over one positive common denominator,
+so the ring operations run on Python ints and reduce once per result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
-from .scalars import ComplexRational, QC_ONE, QC_ZERO
+from .scalars import ComplexRational, QC_ZERO
+
+
+def _scalar(value):
+    """An exact scalar as integers (re, im, den) with den > 0."""
+    if type(value) is int:
+        return value, 0, 1
+    if type(value) is Fraction:
+        return value.numerator, 0, value.denominator
+    c = ComplexRational.coerce(value)
+    re, im = c.re, c.im
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def _make(num: tuple, den: int) -> "MuPoly":
+    """A MuPoly from parts already in canonical form."""
+    p = _new(MuPoly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _canonical(num: list, den: int) -> "MuPoly":
+    """Strip trailing zero pairs and reduce `num / den` to lowest terms."""
+    while num and num[-1] == (0, 0):
+        num.pop()
+    if not num:
+        return _ZERO
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = [(a // g, b // g) for a, b in num]
+            den //= g
+    return _make(tuple(num), den)
+
+
+def _poly(value) -> "MuPoly":
+    if isinstance(value, MuPoly):
+        return value
+    re, im, den = _scalar(value)
+    return _canonical([(re, im)], den)
 
 
 class MuPoly:
-    """Dense polynomial in mu with ComplexRational coefficients.
+    """Dense polynomial in mu with Q(i) coefficients.
 
-    Canonical form strips trailing zeros; the zero polynomial has an empty
-    coefficient tuple.  All ring operations are exact.
+    Stored as `_num`, a tuple of (re, im) int pairs for mu^0, mu^1, ..., over
+    `_den`, one positive int.  The canonical form is in lowest terms (the gcd
+    of `_den` and every numerator part is 1) with trailing zero pairs
+    stripped; zero is ((), 1).  So two polynomials are equal exactly when
+    their parts are.  `coeffs` is the public view as ComplexRational.  All
+    ring operations are exact.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [ComplexRational.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        parts = [_scalar(c) for c in coeffs]
+        den = lcm(1, *(d for _, _, d in parts))
+        p = _canonical([(re * (den // d), im * (den // d)) for re, im, d in parts], den)
+        _set_num(self, p._num)
+        _set_den(self, p._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MuPoly is immutable")
@@ -34,64 +84,79 @@ class MuPoly:
 
     @classmethod
     def zero(cls) -> "MuPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "MuPoly":
-        return cls((QC_ONE,))
+        return _ONE
 
     @classmethod
     def constant(cls, c) -> "MuPoly":
-        return cls((c,))
+        return _poly(c)
 
     @classmethod
     def mu(cls) -> "MuPoly":
-        return cls((QC_ZERO, QC_ONE))
+        return MU
 
     @classmethod
     def monomial(cls, degree: int, c=1) -> "MuPoly":
-        return cls((QC_ZERO,) * degree + (c,))
+        re, im, den = _scalar(c)
+        return _canonical([(0, 0)] * degree + [(re, im)], den)
 
     # -- ring operations ----------------------------------------------
 
-    @staticmethod
-    def _as_poly(value) -> "MuPoly":
-        if isinstance(value, MuPoly):
-            return value
-        return MuPoly.constant(value)
-
     def __add__(self, other):
-        other = MuPoly._as_poly(other)
-        a, b = self.coeffs, other.coeffs
+        other = _poly(other)
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other
+        den, db = self._den, other._den
+        if den != db:
+            common = lcm(den, db)
+            sa, sb = common // den, common // db
+            if sa != 1:
+                a = [(x * sa, y * sa) for x, y in a]
+            if sb != 1:
+                b = [(x * sb, y * sb) for x, y in b]
+            den = common
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return MuPoly(out)
+        for i, (x, y) in enumerate(b):
+            r, s = out[i]
+            out[i] = (r + x, s + y)
+        return _canonical(out, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-MuPoly._as_poly(other))
+        return self + (-_poly(other))
 
     def __rsub__(self, other):
-        return MuPoly._as_poly(other) + (-self)
+        return _poly(other) + (-self)
 
     def __neg__(self):
-        return MuPoly(tuple(-c for c in self.coeffs))
+        return _make(tuple((-a, -b) for a, b in self._num), self._den)
 
     def __mul__(self, other):
-        other = MuPoly._as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return MuPoly.zero()
-        out = [QC_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return MuPoly(out)
+        other = _poly(other)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _ZERO
+        size = len(a) + len(b) - 1
+        out_re, out_im = [0] * size, [0] * size
+        for i, (ar, ai) in enumerate(a):
+            if ai:
+                for j, (br, bi) in enumerate(b, i):
+                    out_re[j] += ar * br - ai * bi
+                    out_im[j] += ar * bi + ai * br
+            elif ar:
+                for j, (br, bi) in enumerate(b, i):
+                    out_re[j] += ar * br
+                    out_im[j] += ar * bi
+        return _canonical(list(zip(out_re, out_im)), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -108,25 +173,37 @@ class MuPoly:
         return out
 
     def scaled(self, c) -> "MuPoly":
-        c = ComplexRational.coerce(c)
-        return MuPoly(tuple(a * c for a in self.coeffs))
+        cr, ci, cd = _scalar(c)
+        if ci:
+            num = [(a * cr - b * ci, a * ci + b * cr) for a, b in self._num]
+        else:
+            num = [(a * cr, b * cr) for a, b in self._num]
+        return _canonical(num, self._den * cd)
 
     def conjugate(self) -> "MuPoly":
-        return MuPoly(tuple(c.conjugate() for c in self.coeffs))
+        return _make(tuple((a, -b) for a, b in self._num), self._den)
 
     # -- queries --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients c0..cd as ComplexRational, `int` parts when the denominator is 1."""
+        den = self._den
+        if den == 1:
+            return tuple(ComplexRational(a, b) for a, b in self._num)
+        return tuple(ComplexRational(Fraction(a, den), Fraction(b, den)) for a, b in self._num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def coefficient(self, degree: int) -> ComplexRational:
-        if 0 <= degree < len(self.coeffs):
+        if 0 <= degree < len(self._num):
             return self.coeffs[degree]
         return QC_ZERO
 
@@ -146,20 +223,20 @@ class MuPoly:
     # -- protocol --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, MuPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self == MuPoly.constant(other)
-        return NotImplemented
+        if not isinstance(other, MuPoly):
+            if not isinstance(other, (int, Fraction, ComplexRational)):
+                return NotImplemented
+            other = _poly(other)
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts = []
         for d, c in enumerate(self.coeffs):
@@ -187,4 +264,11 @@ class MuPoly:
         return cls(tuple(ComplexRational.parse(str(s)) for s in items))
 
 
-MU = MuPoly.mu()
+# Slot setters: `__setattr__` refuses every write from outside the module.
+_new = object.__new__
+_set_num = MuPoly._num.__set__
+_set_den = MuPoly._den.__set__
+
+_ZERO = _make((), 1)
+_ONE = _make(((1, 0),), 1)
+MU = _make(((0, 0), (1, 0)), 1)

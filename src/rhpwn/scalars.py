@@ -95,20 +95,23 @@ class ComplexRational:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = ComplexRational.coerce(other)
+        if type(other) is not ComplexRational:
+            other = ComplexRational.coerce(other)
         return ComplexRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ComplexRational.coerce(other)
+        if type(other) is not ComplexRational:
+            other = ComplexRational.coerce(other)
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return ComplexRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = ComplexRational.coerce(other)
+        if type(other) is not ComplexRational:
+            other = ComplexRational.coerce(other)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -148,10 +151,11 @@ class ComplexRational:
         return complex(self.re, self.im)
 
     def __eq__(self, other):
-        try:
-            other = ComplexRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not ComplexRational:
+            try:
+                other = ComplexRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import sympy
+from hypothesis import strategies as st
 
 from rhpwn.algebra import RHPWN, AlgebraElement
 from rhpwn.scalars import ComplexRational
@@ -32,6 +33,36 @@ def rand_step_function(rng, max_pieces=2, complex_ok=True, scale=None):
         if scale is not None:
             c = c * scale
         pieces.append((i + r1, i + r2, c))
+    return StepFunction(pieces)
+
+
+# Rationals drawn as a mix of int and Fraction; coefficients as a mix of
+# int, Fraction and ComplexRational.
+RATIONALS = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+)
+SCALARS = st.builds(ComplexRational, RATIONALS, RATIONALS)
+COEFFS = st.one_of(RATIONALS, SCALARS)
+
+
+# Endpoints on a coarse grid, so that functions share endpoints and their
+# pieces touch; a None coefficient leaves a gap, and equal neighbours merge.
+# 0 is always an endpoint and the pieces on either side of it never merge,
+# so no piece straddles the origin.
+_GRID = [Fraction(i, 2) for i in range(-6, 7)]
+_COEFFS = [None, 0, 1, Fraction(-1, 2), ComplexRational(1, 1), ComplexRational(0, -3)]
+
+
+@st.composite
+def step_functions(draw):
+    points = sorted(draw(st.sets(st.sampled_from(_GRID), max_size=8)) | {Fraction(0)})
+    coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=len(points),
+                           max_size=len(points)))
+    pieces = [[a, b, c] for a, b, c in zip(points, points[1:], coeffs) if c is not None]
+    for left, right in zip(pieces, pieces[1:]):
+        if left[1] == 0 == right[0] and left[2] == right[2]:
+            right[2] = 2  # not in _COEFFS
     return StepFunction(pieces)
 
 

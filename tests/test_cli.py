@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_element
-from rhpwn import jsonio
+from rhpwn import cli, jsonio
 from rhpwn.algebra import RHPWN, WINFTY
 from rhpwn.cli import main
 from rhpwn.errors import SchemaError
@@ -139,6 +140,37 @@ def test_split_check_and_mgf_csv():
     assert lines[0] == "s,closed_form"
     assert len(lines) == 5
     assert lines[1].startswith("0,1")
+
+
+def test_key_value_csv_reads_back_two_fields_per_row(monkeypatch):
+    cases = [
+        (["nogo", "--n", "3"], None),
+        (["classical-check"], _CLASSICAL),
+        (["classical-check"], _NOT_HERMITIAN),
+    ]
+    for argv, payload in cases:
+        stdin_text = None if payload is None else json.dumps(payload)
+        code, text = run_cli(argv + ["--format", "csv"], stdin_text, monkeypatch)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == 2 for row in rows), rows
+        cells = dict(rows)
+        obj = json.loads(run_cli(argv, stdin_text, monkeypatch)[1])
+        for key, value in obj.items():
+            if value is None:
+                assert cells[key] == ""
+            elif isinstance(value, list):
+                assert cells[key] == ";".join(str(v) for v in value)
+            else:
+                assert cells[key] == str(value)
+    assert cells["witness"] == "c[1,2] = 2 but conj(c[2,1]) = 1"
+
+
+def test_csv_cell_quotes_as_the_csv_module_does():
+    row = ["a,b", 'say "hi"', None, 1.5, True, "x\ny", "", "plain", 'q"']
+    theirs = io.StringIO()
+    csv.writer(theirs, lineterminator="\n").writerow(row)
+    assert ",".join(cli._csv_cell(cell) for cell in row) + "\n" == theirs.getvalue()
 
 
 def test_density_grid_and_scaled():
@@ -464,12 +496,12 @@ _PINNED_DIGESTS = {
     "nogo-mu": (
         "fd5a538a17aa6b0609c9f31a78b259bdcc021ae3fc40c5b0504df6281b51f7ad",
         "fd5a538a17aa6b0609c9f31a78b259bdcc021ae3fc40c5b0504df6281b51f7ad",
-        "40d7f6371497140956c3f2a8c4cb2f184f8b66b83f80ea4eff24a0ad25967d0c",
+        "1070bf185bd59f63ead988c4ff18db58341298e24b8286ab77d3eba0c85ebc9b",
     ),
     "nogo": (
         "1ab17c74c39523816f6987f452f7f5b264ac51d85c30f687ac3e96f979ae0023",
         "1ab17c74c39523816f6987f452f7f5b264ac51d85c30f687ac3e96f979ae0023",
-        "2f014a66318f7681d40f67653d7b5bd6108549cd2d062e0c6d6e5dbe99ecb291",
+        "be3f237498085d0937975e6fd83cee5d27b710b0bf86cde252dddbf7b9ba9725",
     ),
     "split-check": (
         "f5149c4982109685be13567c39c6dc33c69083565bd171a8b8220a32280639fe",
@@ -509,14 +541,26 @@ _PINNED_DIGESTS = {
     "classical-check": (
         "d9916332e9f5615e4e73d9635cf5f7bf5d809ff2d064304fedcf0f2a17992c7e",
         "d9916332e9f5615e4e73d9635cf5f7bf5d809ff2d064304fedcf0f2a17992c7e",
-        "f58a9327d3fdcc635bbdb081d882ac3a1246d06b06d5daddd97d874cc5e959d5",
+        "e5aea0c48c84f33c7807a9cb5de21708ec605f5e773fa7a247ad3aefb881fa02",
     ),
     "classical-check-witness": (
         "8d48ac3fef8f99cbe0a56f0127a758105ffc100140968f422518d9243ae8d40c",
         "8d48ac3fef8f99cbe0a56f0127a758105ffc100140968f422518d9243ae8d40c",
-        "8478171c420e3aef28032929476f31a5ce4d72ae537c46d1f37d6657d4d689e9",
+        "9d7953a5792f5d35f14744514cbc859ea7f30669d493c4898909bbdbdfb5b2c5",
     ),
 }
+
+
+@pytest.mark.parametrize("name,argv,payload", _PINNED_CASES, ids=[c[0] for c in _PINNED_CASES])
+def test_csv_output_is_what_the_csv_module_writes(monkeypatch, name, argv, payload):
+    stdin_text = None if payload is None else json.dumps(payload)
+    code, text = run_cli(argv + ["--format", "csv"], stdin_text, monkeypatch)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len({len(row) for row in rows}) == 1  # no cell split into extra columns
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(rows)
+    assert again.getvalue() == text
 
 
 @pytest.mark.parametrize("fmt", [None, "json", "csv"])

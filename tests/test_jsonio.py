@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_element, rand_step_function
+from conftest import COEFFS, rand_element, rand_step_function, step_functions
 from rhpwn import jsonio
 from rhpwn.algebra import RHPWN, WINFTY, GeneratorIndex
 from rhpwn.errors import SchemaError
-from rhpwn.mupoly import MU
+from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import Word
 from rhpwn.stepfn import CHI
 
@@ -84,3 +87,37 @@ def test_winfty_bad_index_is_schema_error():
     items = [{"tag": WINFTY, "n": 1, "k": 0, "pieces": [{"a": "0", "b": "1", "re": "1"}]}]
     with pytest.raises(SchemaError):
         jsonio.decode_element(items)
+
+
+# -- derandomized round trips: decode(encode(x)) == x, and re-encoding is byte-equal
+
+
+def _assert_round_trip(value, encode, decode, same=lambda a, b: a == b):
+    text = json.dumps(encode(value))
+    again = decode(json.loads(text))
+    assert same(again, value)
+    assert json.dumps(encode(again)) == text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(COEFFS, max_size=6).map(MuPoly))
+def test_mu_poly_json_round_trip(p):
+    _assert_round_trip(p, jsonio.encode_mu_poly, jsonio.decode_mu_poly)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step_functions())
+def test_step_function_json_round_trip(fn):
+    _assert_round_trip(fn, jsonio.encode_step_function, jsonio.decode_step_function)
+
+
+_FACTORS = st.tuples(
+    st.integers(0, 4), st.integers(0, 4), st.one_of(st.just(CHI), step_functions())
+).map(lambda t: (GeneratorIndex(RHPWN, t[0], t[1]), t[2]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_FACTORS, max_size=5).map(Word))
+def test_word_json_round_trip(word):
+    _assert_round_trip(word, jsonio.encode_word, jsonio.decode_word,
+                       same=lambda a, b: a.factors == b.factors)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import COEFFS, RATIONALS, SCALARS
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.scalars import ComplexRational, fraction_str, parse_fraction
 
@@ -65,14 +67,9 @@ def test_mupoly_conjugate_and_eval():
     assert p.eval_float(2.0) == pytest.approx(complex(1, -3))
 
 
-# -- ring laws with parts drawn as a mix of int and Fraction ------------------
+# -- ring laws with parts drawn as a mix of int and Fraction (conftest.SCALARS) --
 
-_PARTS = st.one_of(
-    st.integers(-20, 20),
-    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
-)
-_SCALARS = st.builds(ComplexRational, _PARTS, _PARTS)
-_POLYS = st.lists(_SCALARS, max_size=4).map(MuPoly)
+_POLYS = st.lists(SCALARS, max_size=4).map(MuPoly)
 
 
 def test_constructor_keeps_rationals_and_refuses_the_rest():
@@ -99,7 +96,7 @@ def test_int_and_fraction_parts_are_interchangeable():
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_SCALARS, _SCALARS, _SCALARS)
+@given(SCALARS, SCALARS, SCALARS)
 def test_complex_rational_ring_laws(a, b, c):
     assert a + b == b + a and a * b == b * a
     assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
@@ -124,3 +121,141 @@ def test_mupoly_ring_laws(p, q, r):
     assert (p - p).is_zero and p * MuPoly.one() == p
     assert MuPoly.from_strings(p.to_strings()) == p
     assert hash(MuPoly.from_strings(p.to_strings())) == hash(p)
+
+
+# -- MuPoly against the dense ComplexRational-coefficient reference ------------
+
+
+class _DensePoly:
+    """The dense reference: a tuple of ComplexRational, trailing zeros stripped.
+
+    Shares no arithmetic with MuPoly, whose parts are Gaussian-integer
+    numerators over one common denominator.
+    """
+
+    def __init__(self, coeffs=()):
+        cs = [ComplexRational.coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return _DensePoly(out)
+
+    def __neg__(self):
+        return _DensePoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return _DensePoly()
+        out = [ComplexRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return _DensePoly(out)
+
+    def __pow__(self, k):
+        out = _DensePoly([1])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scaled(self, c):
+        return _DensePoly(a * ComplexRational.coerce(c) for a in self.coeffs)
+
+    def conjugate(self):
+        return _DensePoly(c.conjugate() for c in self.coeffs)
+
+    def eval_exact(self, mu):
+        acc = ComplexRational(0)
+        for c in reversed(self.coeffs):
+            acc = acc * Fraction(mu) + c
+        return acc
+
+    def eval_float(self, mu):
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * mu + c.to_complex()
+        return acc
+
+    def __str__(self):
+        parts = []
+        for d, c in enumerate(self.coeffs):
+            if c.is_zero:
+                continue
+            cs = str(c)
+            if d == 0:
+                parts.append(cs)
+            else:
+                var = "mu" if d == 1 else f"mu^{d}"
+                parts.append(var if cs == "1" else f"{cs}*{var}")
+        return " + ".join(reversed(parts)) or "0"
+
+
+def _assert_canonical(p):
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for pair in num for x in pair)
+    assert not num or num[-1] != (0, 0)
+    assert gcd(den, *(x for pair in num for x in pair)) == 1
+    if not num:
+        assert den == 1
+
+
+def _assert_matches(p, ref):
+    _assert_canonical(p)
+    assert p.coeffs == ref.coeffs
+    part_type = int if p._den == 1 else Fraction
+    assert all(type(x) is part_type for c in p.coeffs for x in (c.re, c.im))
+    assert str(p) == str(ref)
+    assert p.to_strings() == [str(c) for c in ref.coeffs]
+    assert MuPoly.from_strings(p.to_strings()) == p
+    assert hash(p) == hash(ref.coeffs)
+    assert p.degree == len(ref.coeffs) - 1 and p.is_zero == (not ref.coeffs)
+
+
+# Coefficient lists mixing int, Fraction and ComplexRational, with trailing
+# zeros appended; the empty list is the zero polynomial.
+_COEFF_LISTS = st.builds(
+    lambda cs, zeros: cs + [0] * zeros,
+    st.lists(COEFFS, max_size=4),
+    st.integers(0, 2),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_COEFF_LISTS, _COEFF_LISTS, COEFFS, st.integers(0, 3), RATIONALS)
+def test_mupoly_matches_dense_reference(cs, ds, c, k, mu):
+    p, q = MuPoly(cs), MuPoly(ds)
+    rp, rq = _DensePoly(cs), _DensePoly(ds)
+    _assert_matches(p, rp)
+    _assert_matches(q, rq)
+    _assert_matches(p + q, rp + rq)
+    _assert_matches(p - q, rp - rq)
+    _assert_matches(-p, -rp)
+    _assert_matches(p * q, rp * rq)
+    _assert_matches(p**k, rp**k)
+    _assert_matches(p.scaled(c), rp.scaled(c))
+    _assert_matches(p.conjugate(), rp.conjugate())
+    # Scalar operands: any exact scalar on the right, a rational on the left.
+    rc, rmu = _DensePoly([c]), _DensePoly([mu])
+    _assert_matches(p + c, rp + rc)
+    _assert_matches(p - c, rp - rc)
+    _assert_matches(p * c, rp * rc)
+    _assert_matches(mu + p, rmu + rp)
+    _assert_matches(mu - p, rmu - rp)
+    _assert_matches(mu * p, rmu * rp)
+    assert (p == q) == (rp.coeffs == rq.coeffs)
+    assert (p == c) == (rp.coeffs == rc.coeffs)
+    value = p.eval_exact(mu)
+    assert value == rp.eval_exact(mu) and str(value) == str(rp.eval_exact(mu))
+    assert p.eval_float(0.3) == rp.eval_float(0.3)
