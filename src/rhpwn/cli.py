@@ -1,16 +1,17 @@
 """Batch command-line front end.
 
-One subcommand per library operation.  Each handler returns one JSON object;
-it goes to stdout as JSON by default, and with --format csv its rows are
-rendered from that same object.  Exact rationals are emitted as "p/q"
-strings and floats with 17 significant digits, so identical invocations
-produce byte-identical output.  Exit codes: 0 success, 2 domain or input
-errors, 1 internal failure.
+One subcommand per library operation, registered once, in `build_parser`.
+Each handler returns one JSON object; it goes to stdout as JSON by default,
+and with --format csv its rows are rendered from that same object.  Exact
+rationals are emitted as "p/q" strings and floats with 17 significant
+digits, so identical invocations produce byte-identical output.  Exit codes:
+0 success, 2 domain or input errors, 1 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -67,6 +68,7 @@ MAX_GRID_POINTS = 10**6
 MAX_SAMPLE_COUNT = 10**6
 MAX_STIRLING_N = 500  # stirling and normal-order share one table: 29 MB at n = 500
 MAX_KERNEL_K = 400  # kernel_values(6, k): about 0.5 s at k = 400, 3.5 s at 1000
+MAX_GRAM_SIZE = 200  # len(fs)^2 inner products: about 1.9 s for 200 one-piece functions at n = 2
 
 
 def _check_cap(name: str, value: int, cap: int):
@@ -141,10 +143,9 @@ def _cmd_gram(args):
     payload = _read_payload(args)
     obj = jsonio._require_object(payload, "", required=("n", "fs"), optional=("tol",))
     n = jsonio._require_int(obj["n"], "/n")
-    fs = [
-        jsonio.decode_step_function(item, f"/fs/{i}")
-        for i, item in enumerate(jsonio._require_list(obj["fs"], "/fs"))
-    ]
+    items = jsonio._require_list(obj["fs"], "/fs")
+    _check_cap("gram fs length", len(items), MAX_GRAM_SIZE)
+    fs = [jsonio.decode_step_function(item, f"/fs/{i}") for i, item in enumerate(items)]
     tol = float(jsonio._read_fraction(obj.get("tol", "1/10000000000"), "/tol"))
     report = fock.gram_psd_check(n, fs, tol)
     matrix = [
@@ -296,44 +297,11 @@ def _gram_rows(obj):
     return rows
 
 
-# One row function per subcommand; the rest (nogo, classical-check) use _kv_rows.
-_CSV_ROWS = {
-    "commutator": _element_rows,
-    "involute": _element_rows,
-    "stirling": lambda o: [("n", "k", "value"), (o["n"], o["k"], o["value"])],
-    "normal-order": lambda o: [("power", "coeff")]
-    + [(t["power"], t["coeff"]) for t in o["terms"]],
-    "vacuum-moment": lambda o: [("degree", "coeff")] + list(enumerate(o["mu_poly"])),
-    "kernel": lambda o: [("degree", "pi", "h")]
-    + [(d, pi, h) for d, (pi, h) in enumerate(zip(o["pi"], o["h"]))],
-    "gram": _gram_rows,
-    "inner-product": lambda o: [("re", "im"), (o["re"], o["im"])],
-    "split-check": lambda o: _kv_rows({k: v for k, v in o.items() if k != "first_mismatch"}),
-    "mgf": lambda o: [("s", "closed_form")] + [(r["s"], r["value"]) for r in o["rows"]],
-    "density": lambda o: [("x", "p")] + [(r["x"], r["p"]) for r in o["rows"]],
-    "sample": lambda o: [(line,) for line in o["samples"]],
-}
-
-
-_HANDLERS = {
-    "commutator": _cmd_commutator,
-    "involute": _cmd_involute,
-    "stirling": _cmd_stirling,
-    "normal-order": _cmd_normal_order,
-    "vacuum-moment": _cmd_vacuum_moment,
-    "kernel": _cmd_kernel,
-    "gram": _cmd_gram,
-    "inner-product": _cmd_inner_product,
-    "nogo": _cmd_nogo,
-    "split-check": _cmd_split_check,
-    "mgf": _cmd_mgf,
-    "density": _cmd_density,
-    "sample": _cmd_sample,
-    "classical-check": _cmd_classical_check,
-}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subparser is its command's
+    one registry entry: it holds the handler, the CSV row function and the
+    default --format."""
     parser = argparse.ArgumentParser(
         prog="rhpwn",
         description="white-noise algebra toolkit: brackets, vacuum moments, "
@@ -341,56 +309,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, payload=False):
+    def add(name, help_text, handler, rows=_kv_rows, payload=False, fmt="json"):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=("json", "csv"), default=fmt)
         if payload:
             p.add_argument("--input", default="-", help="JSON payload file ('-' = stdin)")
+        p.set_defaults(handler=handler, rows=rows)
         return p
 
-    add("commutator", "bracket of two elements (payload {'a':..., 'b':...})", payload=True)
-    add("involute", "star of an element (payload {'a': ...})", payload=True)
+    add("commutator", "bracket of two elements (payload {'a':..., 'b':...})",
+        _cmd_commutator, _element_rows, payload=True)
+    add("involute", "star of an element (payload {'a': ...})",
+        _cmd_involute, _element_rows, payload=True)
 
-    p = add("stirling", "signed Stirling number of the first kind")
+    p = add("stirling", "signed Stirling number of the first kind", _cmd_stirling,
+            lambda o: [("n", "k", "value"), (o["n"], o["k"], o["value"])])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("normal-order", "(b+)^n b^n in powers of the number operator")
+    p = add("normal-order", "(b+)^n b^n in powers of the number operator", _cmd_normal_order,
+            lambda o: [("power", "coeff")] + [(t["power"], t["coeff"]) for t in o["terms"]])
     p.add_argument("--n", type=int, required=True)
 
-    add("vacuum-moment", "vacuum expectation of a word (payload = word JSON)", payload=True)
+    add("vacuum-moment", "vacuum expectation of a word (payload = word JSON)", _cmd_vacuum_moment,
+        lambda o: [("degree", "coeff")] + list(enumerate(o["mu_poly"])), payload=True)
 
-    p = add("kernel", "closed-form Fock kernel pi and h")
+    p = add("kernel", "closed-form Fock kernel pi and h", _cmd_kernel,
+            lambda o: [("degree", "pi", "h")]
+            + [(d, pi, h) for d, (pi, h) in enumerate(zip(o["pi"], o["h"]))])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    add("gram", "Gram matrix PSD check (payload {'n','fs','tol'})", payload=True)
-    add("inner-product", "exponential-vector inner product (payload {'n','f','g'})", payload=True)
+    add("gram", "Gram matrix PSD check (payload {'n','fs','tol'})",
+        _cmd_gram, _gram_rows, payload=True)
+    add("inner-product", "exponential-vector inner product (payload {'n','f','g'})",
+        _cmd_inner_product, lambda o: [("re", "im"), (o["re"], o["im"])], payload=True)
 
-    p = add("nogo", "no-go Gram matrix, minors and threshold")
+    p = add("nogo", "no-go Gram matrix, minors and threshold", _cmd_nogo)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=_fraction, default=None, help="interval measure as p/q")
 
-    p = add("split-check", "exact splitting-formula series comparison")
+    p = add("split-check", "exact splitting-formula series comparison", _cmd_split_check,
+            lambda o: _kv_rows({k: v for k, v in o.items() if k != "first_mismatch"}))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=8)
 
-    p = add("mgf", "closed-form MGF sweep")
+    p = add("mgf", "closed-form MGF sweep", _cmd_mgf,
+            lambda o: [("s", "closed_form")] + [(r["s"], r["value"]) for r in o["rows"]])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--s-grid", dest="s_grid", required=True, help="start:stop:step")
 
-    p = add("density", "secant-family density sweep (base law, or order n with --n)")
+    p = add("density", "secant-family density sweep (base law, or order n with --n)", _cmd_density,
+            lambda o: [("x", "p")] + [(r["x"], r["p"]) for r in o["rows"]])
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--x-grid", dest="x_grid", required=True, help="start:stop:step")
     p.add_argument("--n", type=int, default=None)
 
-    p = add("sample", "draw from the base law (one sample per line)")
+    p = add("sample", "draw from the base law (one sample per line)", _cmd_sample,
+            lambda o: [(line,) for line in o["samples"]], fmt="csv")
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    add("classical-check", "classicality of a coefficient family", payload=True)
+    add("classical-check", "classicality of a coefficient family",
+        _cmd_classical_check, payload=True)
     return parser
 
 
@@ -404,11 +387,9 @@ def _write_csv(rows, stream):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        json_obj = handler(args)
+        json_obj = args.handler(args)
     except SchemaError as exc:
         print(json.dumps({"error": str(exc), "pointer": exc.pointer}), file=sys.stderr)
         return 2
@@ -421,12 +402,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    fmt = args.format or ("csv" if args.command == "sample" else "json")
-    if fmt == "json":
+    if args.format == "json":
         json.dump(json_obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        _write_csv(_CSV_ROWS.get(args.command, _kv_rows)(json_obj), sys.stdout)
+        _write_csv(args.rows(json_obj), sys.stdout)
     return 0
 
 

@@ -28,13 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import RHPWN, AlgebraElement, commutator, order_constants
+from .algebra import order_constants
 from .errors import DomainError, OutOfScopeError
 from .mupoly import MU, MuPoly
 from .rewrite import Word, reduce_truncated
 from .scalars import ComplexRational, parse_fraction
 from .series import series_exp, series_log, series_mul, series_scale
-from .stepfn import StepFunction
 
 
 # -- splitting formula and Riccati series -------------------------------------
@@ -452,10 +451,11 @@ class ClassicalityReport:
 def classical_check(coeffs, horizon) -> ClassicalityReport:
     """Decide whether x(t) = sum c_{n,k} B[n,k](chi_[0,t)) is classical.
 
-    Self-adjointness needs c_{n,k} = conj(c_{k,n}) for every index pair;
-    commutation [x(t), x(s)] = 0 is then verified symbolically, exactly,
-    over every unordered pair of horizon times.  On failure the witness names
-    the offending coefficient pair or the surviving commutator term.
+    Self-adjointness needs c_{n,k} = conj(c_{k,n}) for every index pair.
+    Commutation [x(t), x(s)] = 0 holds for every family: each pair of terms
+    cancels under the swap of its two factors, so only the Hermitian test can
+    fail and the verdict does not depend on the horizon.  Horizon times must
+    still be positive.  On failure the witness names the offending pair.
     """
     table = {}
     for (n, k), value in coeffs.items():
@@ -463,6 +463,9 @@ def classical_check(coeffs, horizon) -> ClassicalityReport:
         if n < 0 or k < 0:
             raise DomainError(f"coefficient index ({n},{k}) must be nonnegative")
         table[(n, k)] = ComplexRational.coerce(value)
+    times = [parse_fraction(t) for t in horizon]
+    if times and min(times) <= 0:
+        raise DomainError(f"horizon times must be positive, got {min(times)}")
 
     for (n, k), value in sorted(table.items()):
         mirror = table.get((k, n), ComplexRational(0))
@@ -473,28 +476,4 @@ def classical_check(coeffs, horizon) -> ClassicalityReport:
             return ClassicalityReport(
                 classical=False, hermitian=False, commuting=False, witness=witness
             )
-
-    times = sorted({parse_fraction(t) for t in horizon})
-    for t in times:
-        if t <= 0:
-            raise DomainError(f"horizon times must be positive, got {t}")
-
-    def element(t: Fraction) -> AlgebraElement:
-        out = AlgebraElement.zero(RHPWN)
-        for (n, k), value in table.items():
-            fn = StepFunction.indicator(0, t, value)
-            out = out + AlgebraElement.generator(RHPWN, n, k, fn)
-        return out
-
-    elements = {t: element(t) for t in times}
-    # [x(t), x(t)] = 0 and [x(s), x(t)] = -[x(t), x(s)], so t < s suffices.
-    for i, t in enumerate(times):
-        for s in times[i + 1:]:
-            comm = commutator(elements[t], elements[s])
-            if not comm.is_zero:
-                idx = next(iter(comm.terms))
-                witness = f"[x({t}), x({s})] contains {idx}({comm.terms[idx]})"
-                return ClassicalityReport(
-                    classical=False, hermitian=True, commuting=False, witness=witness
-                )
     return ClassicalityReport(classical=True, hermitian=True, commuting=True, witness=None)

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +347,50 @@ def test_stirling_and_kernel_caps(capsys, monkeypatch):
                    "normal-order --n 501 exceeds the cap 500")
     assert_refused(capsys, ["kernel", "--n", "6", "--k", "401"],
                    "kernel --k 401 exceeds the cap 400")
+
+
+def test_gram_size_cap(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_GRAM_SIZE", 2)
+    _, text = run_cli(["gram"], json.dumps({"n": 2, "fs": [[], []]}), monkeypatch)
+    assert json.loads(text)["verdict"] == "PSD"
+    # Refused from the length, before any function is decoded or the matrix built.
+    monkeypatch.setattr(cli_mod.fock, "gram_psd_check", _never)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 2, "fs": ["x", "y", "z"]})))
+    assert_refused(capsys, ["gram"], "gram fs length 3 exceeds the cap 2")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    run_cli(["stirling", "--n", "3", "--k", "1"])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _, kernel = run_cli(["kernel", "--n", "3", "--k", "5"])
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--n", "3"])
+    assert exc.value.code == 2
+    _, nogo = run_cli(["nogo", "--n", "3", "--mu", "37/2"])
+    _, sample = run_cli(["sample", "--t", "2", "--count", "20", "--seed", "7"])
+    assert built == []
+    # A later call prints what a call in a fresh process prints.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, text in (
+        (["kernel", "--n", "3", "--k", "5"], kernel),
+        (["nogo", "--n", "3", "--mu", "37/2"], nogo),
+        (["sample", "--t", "2", "--count", "20", "--seed", "7"], sample),
+    ):
+        fresh = subprocess.run([sys.executable, "-m", "rhpwn.cli"] + argv, env=env,
+                               capture_output=True, text=True, check=True)
+        assert fresh.stdout == text, argv
 
 
 def test_split_check_fock_order_message(capsys):

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from conftest import mupoly_to_sympy
 from rhpwn import processes
-from rhpwn.algebra import order_constants
+from rhpwn.algebra import RHPWN, AlgebraElement, commutator, order_constants
 from rhpwn.cli import main as cli_main
 from rhpwn.errors import DomainError, OutOfScopeError
 from rhpwn.mupoly import MU, MuPoly
@@ -42,6 +42,7 @@ from rhpwn.processes import (
 from rhpwn.rewrite import Word, reduce_truncated
 from rhpwn.scalars import ComplexRational
 from rhpwn.series import series_exp, series_log, series_mul
+from rhpwn.stepfn import StepFunction
 
 
 # -- series utilities -----------------------------------------------------------
@@ -550,3 +551,52 @@ def test_classical_detects_single_broken_symmetry():
 def test_classical_diagonal_must_be_real():
     report = classical_check({(3, 3): ComplexRational(0, 1)}, horizon=[1])
     assert not report.classical
+
+
+def test_coefficient_families_commute_at_all_times():
+    # [x(t), x(s)] = 0 for x(t) = sum c_{n,k} B[n,k](chi_[0,t)), Hermitian or
+    # not; classical_check relies on it and runs no commutator.
+    rng = random.Random(31)
+    hermitian = 0
+    for _ in range(200):
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            n, k = rng.randint(0, 3), rng.randint(0, 3)
+            c = ComplexRational(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+            )
+            if rng.random() < 0.5:  # this pair Hermitian
+                c = c if n != k else ComplexRational(c.re, 0)
+                coeffs[(k, n)] = c.conjugate()
+            coeffs[(n, k)] = c
+        times = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        xs = []
+        for t in times:
+            x = AlgebraElement.zero(RHPWN)
+            for (n, k), c in coeffs.items():
+                x = x + AlgebraElement.generator(RHPWN, n, k, StepFunction.indicator(0, t, c))
+            xs.append(x)
+        for i, x in enumerate(xs):
+            for y in xs[i:]:
+                assert commutator(x, y).is_zero, (coeffs, times)
+        report = classical_check(coeffs, times)
+        assert report.commuting == report.hermitian == report.classical
+        hermitian += report.hermitian
+    assert 50 < hermitian < 150
+
+
+def test_classical_check_refuses_bad_horizon_first(capsys, monkeypatch):
+    # A non-positive horizon time is refused whether or not the family is
+    # Hermitian, before the Hermitian test can return a report.
+    for coeffs in ({(1, 0): ComplexRational(1, 1)}, {(1, 0): 1, (0, 1): 1}):
+        for horizon in ([-1], [2, 0]):
+            with pytest.raises(DomainError, match="horizon times must be positive"):
+                classical_check(coeffs, horizon)
+    payload = '{"coeffs":[{"n":1,"k":0,"re":"1","im":"1"}],"horizon":["-1"]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli_main(["classical-check"]) == 2
+    assert out.getvalue() == ""
+    assert "horizon times must be positive, got -1" in capsys.readouterr().err
