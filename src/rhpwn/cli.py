@@ -21,7 +21,7 @@ from . import fock, jsonio, nogo, processes
 from .algebra import commutator, involution, normal_order_expansion, stirling_first
 from .errors import DomainError, RhpwnError, SchemaError
 from .rewrite import vacuum_expectation
-from .scalars import ComplexRational, fraction_str
+from .scalars import ComplexRational, fraction_str, parse_fraction
 
 
 def _fmt(x: float) -> str:
@@ -45,8 +45,8 @@ def _finite_float(text: str) -> float:
 def _fraction(text: str) -> Fraction:
     """argparse type: an exact rational given as a decimal or p/q."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_fraction(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
@@ -86,11 +86,13 @@ def _parse_grid(spec: str):
     if len(parts) != 3:
         raise SchemaError("", f"grid must be start:stop:step, got {spec!r}")
     try:
-        start, stop, step = (Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        start, stop, step = (parse_fraction(p) for p in parts)
+    except ValueError as exc:
         raise SchemaError("", f"bad grid entry in {spec!r}") from exc
     if step <= 0 or stop < start:
         raise SchemaError("", f"grid {spec!r} must have step > 0 and stop >= start")
+    if max(-start, stop) > sys.float_info.max:
+        raise SchemaError("", f"grid {spec!r} leaves the float range")
     count = math.floor((stop - start) / step + Fraction(1, 1000)) + 1
     if count > MAX_GRID_POINTS:
         raise SchemaError(

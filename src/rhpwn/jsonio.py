@@ -19,7 +19,7 @@ from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
 from .errors import IndexRangeError, SchemaError
 from .mupoly import MuPoly
 from .rewrite import Word
-from .scalars import ComplexRational, fraction_str
+from .scalars import ComplexRational, fraction_str, parse_fraction
 from .stepfn import CHI, StepFunction
 
 
@@ -50,15 +50,9 @@ def _require_int(value, pointer):
 
 def _read_fraction(value, pointer) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value.strip())
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, float)):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SchemaError(pointer, f"expected a rational ('p/q'), got {value!r}")
+        return parse_fraction(value)
+    except (TypeError, ValueError):
+        raise SchemaError(pointer, f"expected a rational ('p/q'), got {value!r}") from None
 
 
 # -- step functions ------------------------------------------------------------
@@ -174,5 +168,5 @@ def decode_mu_poly(value, pointer="") -> MuPoly:
     items = _require_list(obj["mu_poly"], f"{pointer}/mu_poly")
     try:
         return MuPoly.from_strings(items)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{pointer}/mu_poly", str(exc)) from exc

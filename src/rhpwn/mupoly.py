@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .scalars import ComplexRational, QC_ZERO
+from .scalars import ComplexRational, QC_ZERO, parse_fraction
 
 
 def _scalar(value):
@@ -208,7 +208,7 @@ class MuPoly:
         return QC_ZERO
 
     def eval_exact(self, mu: Fraction) -> ComplexRational:
-        mu = Fraction(mu)
+        mu = parse_fraction(mu)
         acc = QC_ZERO
         for c in reversed(self.coeffs):
             acc = acc * mu + c

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -174,6 +175,9 @@ def splitting_series_check(n: int, order: int) -> SplitCheckReport:
 
 # -- moment generating functions ----------------------------------------------
 
+# exp(w) is a finite float exactly when w <= log(max float), about 709.78.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def mgf_eval(n: int, s: float, t: float) -> float:
     """Closed-form MGF of the order-n field process at time t.
@@ -185,7 +189,10 @@ def mgf_eval(n: int, s: float, t: float) -> float:
         raise DomainError(f"Fock order must be >= 1, got {n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
-    return math.exp(_w_closed_form(n, float(s), t))
+    w = _w_closed_form(n, float(s), t)
+    if not w <= _LOG_FLOAT_MAX:  # also refuses the NaN of inf * 0 at s = 0
+        raise DomainError(f"the MGF at s={s}, t={t} overflows a float: W_{n}(s) = {w:.6g}")
+    return math.exp(w)
 
 
 def mgf_series(n: int, order: int):
@@ -293,8 +300,15 @@ def density_q_scaled(n: int, t: float, y: float) -> float:
     return scaled_density(n, t)(y)
 
 
+# Largest t the density accepts.  The rounding error of log Gamma(t), which
+# grows like t log t, becomes relative error in p_t: against mpmath at 60
+# digits it stays below 1e-10 for t <= 1e4 (4e-11 at worst), and reaches
+# 2e-10 at t = 5e4 and 2e-9 at t = 1e6.
+MAX_DENSITY_T = 1e4
+
+
 class SecantDensity:
-    """p_t with a certified tail cutoff.
+    """p_t with a certified tail cutoff, for 0 < t <= MAX_DENSITY_T.
 
     The terms free of x, (t-1) log 2 - log 2 pi and log Gamma(t), are
     computed once; each point then takes one log-Gamma a = log Gamma((t+ix)/2),
@@ -308,6 +322,11 @@ class SecantDensity:
         t = float(t)
         if t <= 0:
             raise DomainError(f"time must be positive, got t={t}")
+        if not t <= MAX_DENSITY_T:
+            raise DomainError(
+                f"the density's time t={t} exceeds {MAX_DENSITY_T:g}, "
+                "past which its relative error is not held below 1e-10"
+            )
         self.t = t
         self._lead = (t - 1) * math.log(2) - math.log(2 * math.pi)
         self._log_gamma_t = complex_log_gamma(complex(t, 0))

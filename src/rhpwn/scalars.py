@@ -8,23 +8,36 @@ Floats appear only at the numeric boundary (kernels, densities, sampling).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
-def parse_fraction(s) -> Fraction:
-    """Parse an exact rational from "p/q", "p", an int, or a Fraction.
+# The largest decimal exponent read: 10**e is computed in full, so "1e99999999"
+# would take minutes.  Python's str(int) refuses more than 4300 digits anyway.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
-    Floats are accepted and converted via their exact binary value.
+
+def parse_fraction(value) -> Fraction:
+    """The one reader of exact rationals from outside the program.
+
+    A Fraction, an int, a finite float (its exact binary value) or a "p/q" or
+    decimal string is read exactly.  A bool or any other type raises
+    TypeError; NaN, an infinity, a zero denominator, a malformed string or a
+    decimal exponent beyond MAX_DECIMAL_EXPONENT raises ValueError.
     """
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s.strip())
-    raise TypeError(f"cannot read a rational from {s!r}")
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction)):
+        raise TypeError(f"cannot read a rational from {value!r}")
+    try:
+        if isinstance(value, str) and ("e" in value or "E" in value):
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+                raise ValueError
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {value!r}") from None
 
 
 def fraction_str(x: Fraction) -> str:
@@ -67,7 +80,7 @@ class ComplexRational:
         if isinstance(value, _RATIONAL):
             return cls(value)
         if isinstance(value, (float, complex)):
-            return cls(Fraction(value.real), Fraction(value.imag))
+            return cls(parse_fraction(value.real), parse_fraction(value.imag))
         raise TypeError(f"cannot coerce {value!r} to ComplexRational")
 
     @classmethod
@@ -77,7 +90,7 @@ class ComplexRational:
         if not s:
             raise ValueError("empty scalar string")
         if not s.endswith("i"):
-            return cls(Fraction(s))
+            return cls(parse_fraction(s))
         body = s[:-1]
         # Split at the first sign that is not the leading one; real and
         # imaginary parts are plain p/q tokens so any interior +/- separates.
@@ -87,10 +100,10 @@ class ComplexRational:
                 im_part = body[pos:]
                 if im_part in ("+", "-"):
                     im_part += "1"
-                return cls(Fraction(re_part), Fraction(im_part))
+                return cls(parse_fraction(re_part), parse_fraction(im_part))
         if body in ("", "+", "-"):
             body += "1"
-        return cls(0, Fraction(body))
+        return cls(0, parse_fraction(body))
 
     # -- ring operations ----------------------------------------------
 

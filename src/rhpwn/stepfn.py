@@ -1,15 +1,15 @@
 """Step functions: the test-function class for every operator argument.
 
 A step function is a finite sum sum_i c_i * chi_[a_i, b_i) with rational
-endpoints and ComplexRational coefficients.  The class is closed under
-pointwise product, sum and conjugation, which is exactly what the brackets
-and kernels need.
+endpoints and ComplexRational coefficients, with pointwise sum, product and
+conjugation, which is what the brackets and kernels need.
 
 Test functions must vanish at zero, so no piece may straddle the origin:
 after canonicalization (sorting and merging touching pieces with equal
 coefficients) an interval with a < 0 < b is rejected.  Endpoints at 0 are
 fine; half-open boundary membership never affects a product, an integral or
-a measure.
+a measure.  So sum and product are partial: chi_[-1,0) + chi_[0,1) is
+refused, as chi_[-1,1) is.
 
 `CHI` is the symbolic indicator of the fixed reference interval I of
 measure mu.  It supports the same product/conjugate/integral protocol, with

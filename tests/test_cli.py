@@ -237,7 +237,7 @@ def test_non_finite_t_rejected(capsys, argv, bad):
     assert f"argument --t: must be finite, got '{bad}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["1/0", "abc"])
+@pytest.mark.parametrize("bad", ["1/0", "abc", "nan", "1e1000000"])
 def test_bad_mu_rejected(capsys, bad):
     out = io.StringIO()
     with redirect_stdout(out), pytest.raises(SystemExit) as exc:
@@ -320,6 +320,50 @@ def assert_refused(capsys, argv, message):
         assert main(argv) == 2
     assert out.getvalue() == ""
     assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+# One rational field of each payload command, with @ standing for the value.
+_RATIONAL_FIELDS = [
+    ("inner-product", '{"n": 2, "f": [{"a": "0", "b": @, "re": "1/5"}], "g": []}', "/f/0/b"),
+    ("vacuum-moment", '[{"n": 0, "k": 1, "function": [{"a": @, "b": "1", "re": "1"}]}]',
+     "/0/function/0/a"),
+    ("gram", '{"n": 2, "fs": [[]], "tol": @}', "/tol"),
+    ("classical-check", '{"coeffs": [{"n": 1, "k": 1, "re": @}], "horizon": ["1"]}',
+     "/coeffs/0/re"),
+    ("classical-check", '{"coeffs": [], "horizon": ["1", @]}', "/horizon/1"),
+]
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "true"])
+@pytest.mark.parametrize("command, template, pointer", _RATIONAL_FIELDS,
+                         ids=[f"{c}{ptr}" for c, _, ptr in _RATIONAL_FIELDS])
+def test_non_finite_payload_rational_rejected(capsys, monkeypatch, command, template,
+                                              pointer, value):
+    # json reads 1e400 as inf, NaN as nan and true as a bool: none is a rational
+    code, text = run_cli([command], template.replace("@", value), monkeypatch)
+    assert code == 2
+    assert text == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == pointer
+    assert err["error"].startswith(f"{pointer}: expected a rational")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mgf", "--n", "1", "--t", "1000", "--s-grid", "0:40:40"], "overflows a float"),
+        (["mgf", "--n", "2", "--t", "1e300", "--s-grid", "0:0.5:0.5"], "overflows a float"),
+        (["mgf", "--n", "1", "--t", "1e308", "--s-grid", "0:30:30"], "overflows a float"),
+        (["mgf", "--n", "2", "--t", "1e308", "--s-grid", "0:0:1"], "overflows a float"),
+        (["density", "--t", "1e300", "--x-grid", "0:0:1"], "exceeds 10000"),
+        (["density", "--t", "1e300", "--n", "2", "--x-grid", "0:0:1"], "exceeds 10000"),
+        (["sample", "--t", "1e5", "--count", "2", "--seed", "1"], "exceeds 10000"),
+        (["mgf", "--n", "1", "--t", "1", "--s-grid", "1e400:1e400:1"], "leaves the float range"),
+        (["density", "--t", "1", "--x-grid=-1e400:0:1"], "leaves the float range"),
+    ],
+)
+def test_numbers_beyond_the_float_domain_exit_2(capsys, argv, message):
+    assert_refused(capsys, argv, message)
 
 
 def test_sample_count_cap(capsys, monkeypatch):

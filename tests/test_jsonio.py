@@ -61,6 +61,13 @@ def test_schema_pointer_locations():
     assert err.value.pointer == ""
 
 
+def test_mu_poly_bad_coefficient_is_schema_error():
+    for bad in ("1/0", "1+1/0i", "nan"):
+        with pytest.raises(SchemaError) as err:
+            jsonio.decode_mu_poly({"mu_poly": ["0", bad]})
+        assert err.value.pointer == "/mu_poly"
+
+
 def test_straddling_piece_reported_as_schema_error():
     with pytest.raises(SchemaError):
         jsonio.decode_step_function([{"a": "-1", "b": "1", "re": "1"}])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rhpwn.errors import OutOfScopeError
-from rhpwn.mupoly import MU
+from rhpwn.mupoly import MU, MuPoly
 from rhpwn.nogo import nogo_report
 from rhpwn.rewrite import Word, vacuum_expectation
 
@@ -25,9 +25,18 @@ def test_closed_form_entries_and_minors():
     assert rep.d2 == (MU**3).scaled(108) - (MU**2).scaled(1944)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def closed_form_entries(n):
+    """The Gram entries of {B[2n,0] Phi, (B[n,0])^2 Phi}, written out by hand."""
+    a11 = MU.scaled(2 * n)
+    a12 = MU.scaled(2 * n**3)
+    a22 = (MU * MU).scaled(2 * n * n) + MU.scaled(n**4 * (n - 1))
+    return ((a11, a12), (a12, a22))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
 def test_entries_match_engine(n):
     rep = nogo_report(n)
+    assert rep.entries == closed_form_entries(n)
     words = {
         (0, 0): [(0, 2 * n), (2 * n, 0)],
         (0, 1): [(0, 2 * n), (n, 0), (n, 0)],
@@ -35,6 +44,8 @@ def test_entries_match_engine(n):
     }
     for (i, j), indices in words.items():
         assert rep.entries[i][j] == vacuum_expectation(Word.from_indices(indices))
+    # d2 = 2 n^3 mu^2 (2 mu - n^2 - n^3)
+    assert rep.d2 == (MU * MU * (MU.scaled(2) - MuPoly.constant(n * n + n**3))).scaled(2 * n**3)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -168,6 +168,14 @@ def test_mgf_domain():
         mgf_eval(1, 0.1, -1.0)
 
 
+def test_mgf_overflow_edge():
+    # exp(W) is finite exactly while W <= log(max float), about 709.78;
+    # for n = 1 and t = 1, W = s^2 / 2 crosses it between s = 37.67 and 37.68
+    assert 1e308 < mgf_eval(1, 37.67, 1.0) < math.inf
+    with pytest.raises(DomainError, match="overflows a float"):
+        mgf_eval(1, 37.68, 1.0)
+
+
 def test_constant_home_matches_inline_expressions():
     # The float expressions as they were written before the order-n
     # constants had one home; the rewritten ones must agree bit for bit.
@@ -319,8 +327,32 @@ def test_density_normalization(t):
 def test_density_domain():
     with pytest.raises(DomainError):
         density_p(0.0, 1.0)
+    for t in (math.nextafter(processes.MAX_DENSITY_T, math.inf), 1e300, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SecantDensity(t)
     with pytest.raises(OutOfScopeError):
         density_q_scaled(1, 1.0, 0.0)
+
+
+def _density_mpmath(t, x):
+    with mpmath.workdps(60):
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+        gammas = abs(mpmath.gamma((t + 1j * x) / 2)) ** 2 / mpmath.gamma(t)
+        return 2 ** (t - 1) / (2 * mpmath.pi) * gammas
+
+
+def test_density_against_mpmath_up_to_the_time_bound():
+    # the stated accuracy of SecantDensity over (0, MAX_DENSITY_T]
+    top = math.log10(processes.MAX_DENSITY_T)
+    rng = random.Random(11)
+    ts = [10 ** rng.uniform(-300, top) for _ in range(40)]
+    ts += [10 ** rng.uniform(top - 1, top) for _ in range(20)]
+    ts += [1e-300, 8.0, processes.MAX_DENSITY_T]
+    for t in ts:
+        dens = SecantDensity(t)
+        for x in (0.0, 0.5 * math.sqrt(t), 2 * math.sqrt(t), 5 * math.sqrt(t)):
+            want = _density_mpmath(t, x)
+            assert abs((dens(x) - want) / want) < 1e-10, (t, x)
 
 
 def test_scaled_density_substitution():

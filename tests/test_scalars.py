@@ -16,6 +16,52 @@ def test_parse_and_format_fraction():
     assert parse_fraction("-5") == Fraction(-5)
     assert fraction_str(Fraction(8, 4)) == "2"
     assert fraction_str(Fraction(-3, 7)) == "-3/7"
+    third = Fraction(1, 3)
+    assert parse_fraction(third) is third
+    assert parse_fraction(" 1/3\n") == third
+    assert parse_fraction("1e-9") == Fraction(1, 10**9)
+    assert parse_fraction(0.1) == Fraction(3602879701896397, 2**55)  # the float's binary value
+    assert type(parse_fraction(7)) is Fraction and parse_fraction(7) == 7
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (True, TypeError),
+        (False, TypeError),
+        (None, TypeError),
+        (object(), TypeError),
+        ([1], TypeError),
+        (float("nan"), ValueError),
+        (float("inf"), ValueError),
+        (float("-inf"), ValueError),
+        ("1/0", ValueError),
+        ("abc", ValueError),
+        ("inf", ValueError),
+        ("", ValueError),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "object()" if type(v) is object else repr(v),
+)
+def test_parse_fraction_refuses(value, error):
+    with pytest.raises(error):
+        parse_fraction(value)
+
+
+def test_parse_fraction_caps_the_decimal_exponent():
+    # 10**e is computed in full, so a long exponent is refused before it is read
+    assert parse_fraction("1e4300") == 10**4300
+    assert parse_fraction("-2.5E-4300") == Fraction(-25, 10**4301)
+    for text in ("1e4301", "1E-4301", "1e1000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+
+
+def test_complex_rational_parts_go_through_parse_fraction():
+    for text in ("1/0", "1+1/0i", "nan", "1e4301i"):
+        with pytest.raises(ValueError):
+            ComplexRational.parse(text)
+    with pytest.raises(ValueError):
+        ComplexRational.coerce(complex(1, float("inf")))
 
 
 def test_complex_rational_arithmetic():

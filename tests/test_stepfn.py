@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_step_function, step_functions
+from conftest import COEFFS, rand_step_function, step_functions
 from rhpwn.scalars import ComplexRational
 from rhpwn.stepfn import CHI, StepFunction, common_refinement
 from rhpwn.errors import TagMismatchError
@@ -98,3 +98,53 @@ def test_symbolic_indicator():
         CHI * StepFunction.indicator(0, 1)
     with pytest.raises(TagMismatchError):
         StepFunction.indicator(0, 1) * CHI
+
+
+_REFUSED = object()
+
+
+def _or_refused(op):
+    """op(), or _REFUSED when the constructor refuses the result because its
+    canonical form merges a piece across 0."""
+    try:
+        return op()
+    except ValueError as exc:
+        assert "straddles 0" in str(exc)
+        return _REFUSED
+
+
+def _law(lhs, rhs):
+    """Both sides equal wherever both are defined."""
+    lhs, rhs = _or_refused(lhs), _or_refused(rhs)
+    if lhs is not _REFUSED and rhs is not _REFUSED:
+        assert lhs == rhs
+
+
+def test_sum_and_product_across_zero_are_refused():
+    # + and * are partial: chi_[-1,0) + chi_[0,1) would be chi_[-1,1), whose
+    # interior holds 0, so the ring laws below hold where both sides exist
+    left, right = StepFunction.indicator(-1, 0), StepFunction.indicator(0, 1)
+    assert _or_refused(lambda: left + right) is _REFUSED
+    assert _or_refused(lambda: (left + right.scaled(2)) * (left.scaled(2) + right)) is _REFUSED
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step_functions(), step_functions(), step_functions(), COEFFS)
+def test_ring_laws(f, g, h, c):
+    # commutativity holds outright: a sum or product is refused on both sides
+    # or on neither
+    assert _or_refused(lambda: f + g) == _or_refused(lambda: g + f)
+    assert _or_refused(lambda: f * g) == _or_refused(lambda: g * f)
+    _law(lambda: (f + g) + h, lambda: f + (g + h))
+    _law(lambda: (f * g) * h, lambda: f * (g * h))
+    _law(lambda: f * (g + h), lambda: f * g + f * h)
+    # conjugation is an additive, multiplicative involution
+    assert f.conjugate().conjugate() == f
+    _law(lambda: (f + g).conjugate(), lambda: f.conjugate() + g.conjugate())
+    _law(lambda: (f * g).conjugate(), lambda: f.conjugate() * g.conjugate())
+    # scaled(c) is the product with c on each half line
+    neg, pos = StepFunction([(-4, 0, c)]), StepFunction([(0, 4, c)])
+    assert f.scaled(c) == f * neg + f * pos
+    # the integral is linear
+    assert f.scaled(c).integral() == f.integral() * c
+    _law(lambda: (f + g).integral(), lambda: f.integral() + g.integral())
