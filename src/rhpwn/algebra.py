@@ -92,8 +92,6 @@ class AlgebraElement:
 
     @classmethod
     def generator(cls, tag: str, n: int, k: int, fn: StepFunction) -> "AlgebraElement":
-        if tag == RHPWN and (n < 0 or k < 0):
-            return cls(tag)
         return cls(tag, {GeneratorIndex(tag, n, k): fn})
 
     # -- linear structure ----------------------------------------------
@@ -165,8 +163,6 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for ib, fb in b.terms.items():
             const, (n, k) = bracket_index_and_constant(ia, ib)
             if const == 0:
-                continue
-            if a.tag == RHPWN and (n < 0 or k < 0):
                 continue
             idx = GeneratorIndex(a.tag, n, k)
             fn = (fa * fb).scaled(const)

@@ -148,8 +148,10 @@ def _cmd_gram(args):
     items = jsonio._require_list(obj["fs"], "/fs")
     _check_cap("gram fs length", len(items), MAX_GRAM_SIZE)
     fs = [jsonio.decode_step_function(item, f"/fs/{i}") for i, item in enumerate(items)]
-    tol = float(jsonio._read_fraction(obj.get("tol", "1/10000000000"), "/tol"))
-    report = fock.gram_psd_check(n, fs, tol)
+    tol = jsonio._read_fraction(obj.get("tol", "1/10000000000"), "/tol")
+    if abs(tol) > sys.float_info.max:
+        raise SchemaError("/tol", "tol leaves the float range")
+    report = fock.gram_psd_check(n, fs, float(tol))
     matrix = [
         [{"re": _fmt(z.real), "im": _fmt(z.imag)} for z in row] for row in report.matrix
     ]

@@ -374,19 +374,26 @@ def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
     """<psi_n(f), psi_n(g)>, conjugate-linear in f.
 
     Piecewise over the common refinement; the per-piece integrands are exact
-    rationals fed to exp/log in float.
+    rationals fed to exp/log in float.  Raises DomainError when a piece
+    length, the exponent or its exp leaves the float range.
     """
     require_admissible(n, f)
     require_admissible(n, g)
-    if n == 1:
-        return cmath.exp((f.conjugate() * g).integral().to_complex())
-    half, c = order_constants(n)
-    gamma = 1 / half
-    exponent = 0j
-    for a, b, (cf, cg) in common_refinement([f, g]):
-        w = (cf.conjugate() * cg).to_complex()
-        exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
-    return cmath.exp(exponent)
+    try:
+        if n == 1:
+            exponent = (f.conjugate() * g).integral().to_complex()
+        else:
+            half, c = order_constants(n)
+            gamma = 1 / half
+            exponent = 0j
+            for a, b, (cf, cg) in common_refinement([f, g]):
+                w = (cf.conjugate() * cg).to_complex()
+                exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
+        if cmath.isfinite(exponent):
+            return cmath.exp(exponent)
+    except OverflowError:
+        pass
+    raise DomainError(f"<psi_{n}(f), psi_{n}(g)> leaves the float range")
 
 
 def jet_inner_product(u, v) -> complex:

@@ -190,4 +190,3 @@ class ComplexRational:
 
 
 QC_ZERO = ComplexRational(0)
-QC_ONE = ComplexRational(1)

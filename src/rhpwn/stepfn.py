@@ -4,12 +4,12 @@ A step function is a finite sum sum_i c_i * chi_[a_i, b_i) with rational
 endpoints and ComplexRational coefficients, with pointwise sum, product and
 conjugation, which is what the brackets and kernels need.
 
-Test functions must vanish at zero, so no piece may straddle the origin:
-after canonicalization (sorting and merging touching pieces with equal
-coefficients) an interval with a < 0 < b is rejected.  Endpoints at 0 are
-fine; half-open boundary membership never affects a product, an integral or
-a measure.  So sum and product are partial: chi_[-1,0) + chi_[0,1) is
-refused, as chi_[-1,1) is.
+Test functions vanish at zero, so 0 is a cut point of every one of them: a
+nonzero input piece with a < 0 < b is refused, and canonicalization (sorting
+and merging touching pieces with equal coefficients) never merges across 0.
+Endpoints at 0 are fine; half-open boundary membership never affects a
+product or an integral.  A sum or product only refines its operands, so it
+never refuses: chi_[-1,0) + chi_[0,1) is the two pieces [-1,0) and [0,1).
 
 `CHI` is the symbolic indicator of the fixed reference interval I of
 measure mu.  It supports the same product/conjugate/integral protocol, with
@@ -19,6 +19,7 @@ engine produce exact mu-polynomials for single-interval words.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import TagMismatchError
@@ -41,6 +42,10 @@ class StepFunction:
                 raise ValueError(f"empty or reversed interval [{a}, {b})")
             if c.is_zero:
                 continue
+            if a < 0 < b:
+                raise ValueError(
+                    f"piece [{a}, {b}) straddles 0; test functions vanish at zero"
+                )
             cleaned.append((a, b, c))
         cleaned.sort(key=lambda p: (p[0], p[1]))
         merged = []
@@ -49,15 +54,10 @@ class StepFunction:
                 pa, pb, pc = merged[-1]
                 if a < pb:
                     raise ValueError(f"overlapping pieces at [{a}, {b})")
-                if a == pb and c == pc:
+                if a == pb != 0 and c == pc:
                     merged[-1] = (pa, b, pc)
                     continue
             merged.append((a, b, c))
-        for a, b, _ in merged:
-            if a < 0 < b:
-                raise ValueError(
-                    f"piece [{a}, {b}) straddles 0; test functions vanish at zero"
-                )
         object.__setattr__(self, "pieces", tuple(merged))
         object.__setattr__(self, "_hash", None)
 
@@ -77,29 +77,24 @@ class StepFunction:
 
     # -- pointwise algebra ----------------------------------------------
 
-    def __add__(self, other):
+    def _pointwise(self, other, op):
         if isinstance(other, SymbolicIndicator):
             raise TagMismatchError("cannot mix symbolic chi_I with concrete step functions")
         if not isinstance(other, StepFunction):
             return NotImplemented
-        out = []
-        for a, b, cs in common_refinement([self, other]):
-            out.append((a, b, cs[0] + cs[1]))
-        return StepFunction(out)
+        return StepFunction(
+            [(a, b, op(cf, cg)) for a, b, (cf, cg) in common_refinement([self, other])]
+        )
+
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def __mul__(self, other):
         """Pointwise product; partitions are refined against each other."""
-        if isinstance(other, SymbolicIndicator):
-            raise TagMismatchError("cannot mix symbolic chi_I with concrete step functions")
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        out = []
-        for a, b, cs in common_refinement([self, other]):
-            out.append((a, b, cs[0] * cs[1]))
-        return StepFunction(out)
+        return self._pointwise(other, operator.mul)
 
     def scaled(self, c) -> "StepFunction":
         c = ComplexRational.coerce(c)

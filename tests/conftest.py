@@ -47,9 +47,8 @@ COEFFS = st.one_of(RATIONALS, SCALARS)
 
 
 # Endpoints on a coarse grid, so that functions share endpoints and their
-# pieces touch; a None coefficient leaves a gap, and equal neighbours merge.
-# 0 is always an endpoint and the pieces on either side of it never merge,
-# so no piece straddles the origin.
+# pieces touch; a None coefficient leaves a gap, and equal neighbours merge
+# except at 0, which is always an endpoint, so no piece straddles the origin.
 _GRID = [Fraction(i, 2) for i in range(-6, 7)]
 _COEFFS = [None, 0, 1, Fraction(-1, 2), ComplexRational(1, 1), ComplexRational(0, -3)]
 
@@ -59,11 +58,9 @@ def step_functions(draw):
     points = sorted(draw(st.sets(st.sampled_from(_GRID), max_size=8)) | {Fraction(0)})
     coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=len(points),
                            max_size=len(points)))
-    pieces = [[a, b, c] for a, b, c in zip(points, points[1:], coeffs) if c is not None]
-    for left, right in zip(pieces, pieces[1:]):
-        if left[1] == 0 == right[0] and left[2] == right[2]:
-            right[2] = 2  # not in _COEFFS
-    return StepFunction(pieces)
+    return StepFunction(
+        [(a, b, c) for a, b, c in zip(points, points[1:], coeffs) if c is not None]
+    )
 
 
 def admissible_scale(n: int) -> Fraction:

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_element
+from conftest import rand_element, step_functions
 from rhpwn.algebra import (
     RHPWN,
     WINFTY,
@@ -94,6 +96,35 @@ def test_algebra_axioms_random(tag):
         assert jacobi == zero
         assert involution(commutator(a, b)) == commutator(involution(b), involution(a))
         assert involution(involution(a)) == a
+
+
+@st.composite
+def elements(draw, tag):
+    """Sums of up to three generators with step_functions() coefficients."""
+    low, high = (0, 3) if tag == RHPWN else (-3, 3)
+    out = AlgebraElement.zero(tag)
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 3) if tag == RHPWN else st.integers(2, 4))
+        out = out + gen(tag, n, draw(st.integers(low, high)), draw(step_functions()))
+    return out
+
+
+@pytest.mark.parametrize("tag", [RHPWN, WINFTY])
+def test_commutator_is_total_antisymmetric_and_jacobi(tag):
+    zero = AlgebraElement.zero(tag)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(elements(tag), elements(tag), elements(tag))
+    def check(a, b, c):
+        assert commutator(a, b) + commutator(b, a) == zero
+        jacobi = (
+            commutator(a, commutator(b, c))
+            + commutator(b, commutator(c, a))
+            + commutator(c, commutator(a, b))
+        )
+        assert jacobi == zero
+
+    check()
 
 
 def test_stirling_values_and_errors():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -364,6 +365,60 @@ def test_non_finite_payload_rational_rejected(capsys, monkeypatch, command, temp
 )
 def test_numbers_beyond_the_float_domain_exit_2(capsys, argv, message):
     assert_refused(capsys, argv, message)
+
+
+
+def _pieces(*triples):
+    return [{"a": a, "b": b, "re": re} for a, b, re in triples]
+
+
+_ACROSS_ZERO_A = _pieces(("-1", "0", "1"), ("0", "1", "2"))
+_ACROSS_ZERO_B = _pieces(("-1", "0", "2"), ("0", "1", "1"))
+
+
+def test_products_across_zero_are_computed(capsys, monkeypatch):
+    # f * g is 2 on [-1, 0) and on [0, 1): two pieces that touch at 0
+    payload = {"a": [{"tag": "RHPWN", "n": 0, "k": 1, "pieces": _ACROSS_ZERO_A}],
+               "b": [{"tag": "RHPWN", "n": 1, "k": 0, "pieces": _ACROSS_ZERO_B}]}
+    code, text = run_cli(["commutator"], json.dumps(payload), monkeypatch)
+    assert code == 0
+    two = {"re": "2", "im": "0"}
+    assert json.loads(text) == [{"tag": "RHPWN", "n": 0, "k": 0, "pieces": [
+        {"a": "-1", "b": "0", **two}, {"a": "0", "b": "1", **two}]}]
+    word = [{"n": 0, "k": 1, "function": _ACROSS_ZERO_A},
+            {"n": 1, "k": 0, "function": _ACROSS_ZERO_B}]
+    code, text = run_cli(["vacuum-moment"], json.dumps(word), monkeypatch)
+    assert code == 0 and json.loads(text) == {"mu_poly": ["4"]}
+    payload = {"n": 1, "f": _pieces(("-1", "0", "1/2"), ("0", "1", "1/4")),
+               "g": _pieces(("-1", "0", "1/4"), ("0", "1", "1/2"))}
+    code, text = run_cli(["inner-product"], json.dumps(payload), monkeypatch)
+    assert code == 0
+    assert json.loads(text) == {"n": 1, "re": cli._fmt(math.exp(0.25)), "im": "0"}
+    # an input piece across 0 is still refused
+    payload = {"n": 1, "f": _pieces(("-1", "1", "1")), "g": []}
+    code, text = run_cli(["inner-product"], json.dumps(payload), monkeypatch)
+    assert code == 2 and text == ""
+    assert "straddles 0" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("inner-product", {"n": 1, "f": _pieces(("0", "1", "30")),
+                           "g": _pieces(("0", "1", "30"))}, "leaves the float range"),
+        ("inner-product", {"n": 2, "f": _pieces(("0", "100000", "1/10")),
+                           "g": _pieces(("0", "100000", "1/10"))}, "leaves the float range"),
+        ("inner-product", {"n": 2, "f": _pieces(("0", "1e400", "1/10")),
+                           "g": _pieces(("0", "1", "1/10"))}, "leaves the float range"),
+        ("gram", {"n": 1, "fs": [_pieces(("0", "1", "30"))]}, "leaves the float range"),
+        ("gram", {"n": 1, "fs": [], "tol": "1e400"}, "/tol: tol leaves the float range"),
+    ],
+    ids=["n1-exponent", "n2-exponent", "piece-length", "gram-entry", "gram-tol"],
+)
+def test_float_overflow_exits_2(capsys, monkeypatch, command, payload, message):
+    code, text = run_cli([command], json.dumps(payload), monkeypatch)
+    assert code == 2 and text == ""
+    assert message in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_sample_count_cap(capsys, monkeypatch):

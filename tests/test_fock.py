@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from conftest import admissible_scale, rand_admissible, rand_step_function
+from conftest import admissible_scale, mupoly_to_sympy, rand_admissible, rand_step_function
 from rhpwn.errors import (
     DomainError,
     PrescriptionError,
@@ -132,6 +133,23 @@ def test_taylor_coeff_examples():
     assert G_taylor_coeff(2, 2) == (MU * MU).scaled(4) + MU.scaled(8)
 
 
+def test_taylor_coeff_against_sympy_series():
+    # G_n(u) = exp(mu u) for n = 1 and (1 - c u)^(-mu/half) for n >= 2, with
+    # half = n^2 (n-1)/2 and c = n^3 (n-1)/2, expanded by sympy
+    mu, u = sympy.symbols("mu u")
+    for n in range(1, 6):
+        if n == 1:
+            G = sympy.exp(mu * u)
+        else:
+            half, c = sympy.Rational(n * n * (n - 1), 2), sympy.Rational(n**3 * (n - 1), 2)
+            G = (1 - c * u) ** (-mu / half)
+        series = sympy.expand(sympy.series(G, u, 0, 9).removeO())
+        for k in range(9):
+            want = sympy.expand(sympy.factorial(k) * series.coeff(u, k))
+            got = mupoly_to_sympy(G_taylor_coeff(n, k), mu)
+            assert sympy.expand(got - want) == 0, (n, k)
+
+
 # -- inner products ---------------------------------------------------------------
 
 
@@ -160,6 +178,19 @@ def test_inner_product_bound_violation():
     with pytest.raises(DomainError) as err:
         exp_inner_product(3, f, f)
     assert "[1,2)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "n, end, coeff",
+    [
+        (1, "1e400", Fraction(1, 10)),  # the exact exponent has no float
+        (2, "17e307", Fraction(12, 25)),  # each factor is finite, the exponent is inf
+    ],
+)
+def test_inner_product_beyond_the_float_range(n, end, coeff):
+    f = StepFunction([(0, end, coeff)])
+    with pytest.raises(DomainError, match="leaves the float range"):
+        exp_inner_product(n, f, f)
 
 
 def test_inner_product_hermitian_symmetry():
