@@ -21,14 +21,11 @@ from . import fock, jsonio, nogo, processes
 from .algebra import commutator, involution, normal_order_expansion, stirling_first
 from .errors import DomainError, RhpwnError, SchemaError
 from .rewrite import vacuum_expectation
-from .scalars import ComplexRational, fraction_str, parse_fraction
+from .scalars import ComplexRational, parse_fraction
 
 
 def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0:
-        x = 0.0  # never emit -0
-    return format(x, ".17g")
+    return format(x or 0.0, ".17g")  # -0.0 is falsy: never emit -0
 
 
 def _finite_float(text: str) -> float:
@@ -79,8 +76,9 @@ def _check_cap(name: str, value: int, cap: int):
 def _parse_grid(spec: str):
     """start:stop:step with decimal or p/q entries, endpoints inclusive.
 
-    At most MAX_GRID_POINTS points; the count is checked before the list is
-    built.
+    Returns start + i*step as floats, each the correctly rounded int quotient
+    (a + i*b) / d for start = a/d and step = b/d.  The count is exact and is
+    checked against MAX_GRID_POINTS before the list is built.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -91,14 +89,16 @@ def _parse_grid(spec: str):
         raise SchemaError("", f"bad grid entry in {spec!r}") from exc
     if step <= 0 or stop < start:
         raise SchemaError("", f"grid {spec!r} must have step > 0 and stop >= start")
-    if max(-start, stop) > sys.float_info.max:
-        raise SchemaError("", f"grid {spec!r} leaves the float range")
     count = math.floor((stop - start) / step + Fraction(1, 1000)) + 1
+    if max(-start, start + (count - 1) * step) > sys.float_info.max:
+        raise SchemaError("", f"grid {spec!r} leaves the float range")
     if count > MAX_GRID_POINTS:
         raise SchemaError(
             "", f"grid {spec!r} has {count} points, more than the cap {MAX_GRID_POINTS}"
         )
-    return [start + i * step for i in range(count)]
+    d = math.lcm(start.denominator, step.denominator)
+    a, b = int(start * d), int(step * d)
+    return [(a + i * b) / d for i in range(count)]
 
 
 # -- handlers: each returns its JSON object ---------------------------------
@@ -151,7 +151,8 @@ def _cmd_gram(args):
     tol = jsonio._read_fraction(obj.get("tol", "1/10000000000"), "/tol")
     if abs(tol) > sys.float_info.max:
         raise SchemaError("/tol", "tol leaves the float range")
-    report = fock.gram_psd_check(n, fs, float(tol))
+    tol = float(tol)
+    report = fock.gram_psd_check(n, fs, tol)
     matrix = [
         [{"re": _fmt(z.real), "im": _fmt(z.imag)} for z in row] for row in report.matrix
     ]
@@ -185,8 +186,8 @@ def _cmd_nogo(args):
         ],
         "d1": report.d1.to_strings(),
         "d2": report.d2.to_strings(),
-        "threshold": fraction_str(report.threshold),
-        "mu": fraction_str(report.mu) if report.mu is not None else None,
+        "threshold": str(report.threshold),
+        "mu": str(report.mu) if report.mu is not None else None,
         "verdict": None if report.psd is None else ("PSD" if report.psd else "NOT_PSD"),
     }
 
@@ -207,7 +208,7 @@ def _cmd_split_check(args):
 
 def _cmd_mgf(args):
     body = [
-        {"s": _fmt(s), "value": _fmt(processes.mgf_eval(args.n, float(s), args.t))}
+        {"s": _fmt(s), "value": _fmt(processes.mgf_eval(args.n, s, args.t))}
         for s in _parse_grid(args.s_grid)
     ]
     return {"n": args.n, "t": _fmt(args.t), "rows": body}
@@ -219,7 +220,7 @@ def _cmd_density(args):
         density = processes.SecantDensity(args.t)
     else:
         density = processes.scaled_density(args.n, args.t)
-    body = [{"x": _fmt(x), "p": _fmt(density(float(x)))} for x in xs]
+    body = [{"x": _fmt(x), "p": _fmt(density(x))} for x in xs]
     return {"t": _fmt(args.t), "n": args.n, "rows": body}
 
 

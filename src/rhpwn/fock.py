@@ -23,6 +23,8 @@ sum), so cross-order pairings are 0.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -370,45 +372,54 @@ class _MultiDual:
 # -- inner products -----------------------------------------------------------
 
 
+def _within_float_range(inner_product):
+    """Raise DomainError where a float inner product overflows or is not finite."""
+    @functools.wraps(inner_product)
+    def guarded(*args):
+        with contextlib.suppress(OverflowError):
+            value = inner_product(*args)
+            if cmath.isfinite(value):
+                return value
+        raise DomainError("the inner product leaves the float range")
+
+    return guarded
+
+
+@_within_float_range
 def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
     """<psi_n(f), psi_n(g)>, conjugate-linear in f.
 
     Piecewise over the common refinement; the per-piece integrands are exact
     rationals fed to exp/log in float.  Raises DomainError when a piece
-    length, the exponent or its exp leaves the float range.
+    length or the value leaves the float range; an exponent below it gives 0.
     """
     require_admissible(n, f)
     require_admissible(n, g)
-    try:
-        if n == 1:
-            exponent = (f.conjugate() * g).integral().to_complex()
-        else:
-            half, c = order_constants(n)
-            gamma = 1 / half
-            exponent = 0j
-            for a, b, (cf, cg) in common_refinement([f, g]):
-                w = (cf.conjugate() * cg).to_complex()
-                exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
-        if cmath.isfinite(exponent):
-            return cmath.exp(exponent)
-    except OverflowError:
-        pass
-    raise DomainError(f"<psi_{n}(f), psi_{n}(g)> leaves the float range")
+    if n == 1:
+        exponent = (f.conjugate() * g).integral().to_complex()
+    else:
+        half, c = order_constants(n)
+        gamma = 1 / half
+        exponent = 0j
+        for a, b, (cf, cg) in common_refinement([f, g]):
+            w = (cf.conjugate() * cg).to_complex()
+            exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
+    return cmath.exp(exponent)
 
 
+@_within_float_range
 def jet_inner_product(u, v) -> complex:
     """Pairing of two jets: a mixed partial of the closed-form kernel.
 
     Left directions differentiate the conjugated slot, right directions the
-    linear slot; pairs of different Fock order return 0 (direct sum).
+    linear slot; pairs of different Fock order return 0 (direct sum).  Raises
+    DomainError when the value leaves the float range.
     """
     u = as_jet(u)
     v = as_jet(v)
     if u.n != v.n:
         return 0j
     n = u.n
-    require_admissible(n, u.base.f)
-    require_admissible(n, v.base.f)
     p, q = u.order, v.order
     if p + q > 4:
         raise UnsupportedOrderError(f"combined jet order {p + q} exceeds 4")

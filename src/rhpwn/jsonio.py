@@ -19,7 +19,7 @@ from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
 from .errors import IndexRangeError, SchemaError
 from .mupoly import MuPoly
 from .rewrite import Word
-from .scalars import ComplexRational, fraction_str, parse_fraction
+from .scalars import ComplexRational, parse_fraction
 from .stepfn import CHI, StepFunction
 
 
@@ -78,12 +78,7 @@ def decode_step_function(value, pointer="") -> StepFunction:
 
 def encode_step_function(fn: StepFunction) -> list:
     return [
-        {
-            "a": fraction_str(a),
-            "b": fraction_str(b),
-            "re": fraction_str(c.re),
-            "im": fraction_str(c.im),
-        }
+        {"a": str(a), "b": str(b), "re": str(c.re), "im": str(c.im)}
         for a, b, c in fn.pieces
     ]
 

@@ -40,14 +40,6 @@ def parse_fraction(value) -> Fraction:
         raise ValueError(f"not a rational number: {value!r}") from None
 
 
-def fraction_str(x: Fraction) -> str:
-    """Render "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 _RATIONAL = (int, Fraction)
 
 
@@ -56,14 +48,15 @@ class ComplexRational:
 
     Arithmetic is exact; `to_complex` is the only lossy exit.  Mixed
     arithmetic with int and Fraction coerces the other operand.  Parts are
-    stored as given; an `int` part and the equal `Fraction` compare, hash and
-    print alike.  Strings, floats and `complex` go through `parse` or `coerce`.
+    exactly `int` or `Fraction` (no `bool`), stored as given: `str` prints each
+    as "p" or "p/q", and an `int` part and the equal `Fraction` compare, hash
+    and print alike.  Strings, floats and `complex` go through `parse` or `coerce`.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if not (isinstance(re, _RATIONAL) and isinstance(im, _RATIONAL)):
+        if type(re) not in _RATIONAL or type(im) not in _RATIONAL:
             raise TypeError(f"parts must be int or Fraction, got {re!r}, {im!r}")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
@@ -181,9 +174,9 @@ class ComplexRational:
 
     def __str__(self):
         if self.im == 0:
-            return fraction_str(self.re)
+            return str(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{fraction_str(self.re)}{sign}{fraction_str(abs(self.im))}i"
+        return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import TagMismatchError
 from .mupoly import MuPoly
-from .scalars import ComplexRational, QC_ZERO, fraction_str, parse_fraction
+from .scalars import ComplexRational, QC_ZERO, parse_fraction
 
 
 class StepFunction:
@@ -156,9 +156,7 @@ class StepFunction:
     def __str__(self):
         if not self.pieces:
             return "0"
-        return " + ".join(
-            f"({c})*chi[{fraction_str(a)},{fraction_str(b)})" for a, b, c in self.pieces
-        )
+        return " + ".join(f"({c})*chi[{a},{b})" for a, b, c in self.pieces)
 
     __repr__ = __str__
 

@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -81,7 +82,7 @@ def test_invalid_indices_normalize_to_zero():
 
 @pytest.mark.parametrize("tag", [RHPWN, WINFTY])
 def test_algebra_axioms_random(tag):
-    rng = random.Random(hash(tag) & 0xFFFF)
+    rng = random.Random(zlib.crc32(tag.encode()))
     zero = AlgebraElement.zero(tag)
     for _ in range(60):
         a = rand_element(rng, tag)

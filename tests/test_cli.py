@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_element
 from rhpwn import cli, jsonio
@@ -305,10 +307,28 @@ def test_grid_matches_running_sum():
     for spec in specs:
         got = cli_mod._parse_grid(spec)
         want = _grid_by_loop(spec)
-        assert got == want, spec
-        assert [(v.numerator, v.denominator) for v in got] == [
-            (v.numerator, v.denominator) for v in want
-        ], spec
+        assert got == [float(v) for v in want], spec
+
+
+_GRID_START = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+    st.builds("{}e{}".format, st.integers(-10**6, 10**6), st.integers(-210, 210)),
+)
+_GRID_STEP = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 10**40), st.integers(1, 10**30)),
+    st.builds("{}e{}".format, st.integers(1, 10**6), st.integers(-210, 210)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_GRID_START, _GRID_STEP, st.integers(0, 30), st.sampled_from([-1, 0, 1]))
+def test_grid_points_are_the_floats_of_the_exact_points(start_text, step_text, last, nudge):
+    # stop lies within step/1000 of the last point, on either side
+    start, step = Fraction(start_text), Fraction(step_text)
+    stop = start + step * (last + Fraction(nudge, 1001))
+    assume(stop >= start)
+    got = cli._parse_grid(f"{start_text}:{stop}:{step_text}")
+    assert got == [float(start + i * step) for i in range(last + 1)]
 
 
 def _never(*_args, **_kwargs):
@@ -361,6 +381,9 @@ def test_non_finite_payload_rational_rejected(capsys, monkeypatch, command, temp
         (["sample", "--t", "1e5", "--count", "2", "--seed", "1"], "exceeds 10000"),
         (["mgf", "--n", "1", "--t", "1", "--s-grid", "1e400:1e400:1"], "leaves the float range"),
         (["density", "--t", "1", "--x-grid=-1e400:0:1"], "leaves the float range"),
+        # stop is in range, but the last point lies past it by up to step/1000
+        (["density", "--t", "1", "--x-grid", "0:1.7976931348623157e308:8.99e307"],
+         "leaves the float range"),
     ],
 )
 def test_numbers_beyond_the_float_domain_exit_2(capsys, argv, message):

@@ -185,12 +185,16 @@ def test_inner_product_bound_violation():
     [
         (1, "1e400", Fraction(1, 10)),  # the exact exponent has no float
         (2, "17e307", Fraction(12, 25)),  # each factor is finite, the exponent is inf
+        (1, "1", 30),  # the exponent 900 is finite, its exp is not
     ],
 )
 def test_inner_product_beyond_the_float_range(n, end, coeff):
     f = StepFunction([(0, end, coeff)])
-    with pytest.raises(DomainError, match="leaves the float range"):
-        exp_inner_product(n, f, f)
+    v = ExponentialVector(n, f)
+    for inner in (lambda: exp_inner_product(n, f, f), lambda: jet_inner_product(v, v),
+                  lambda: pair(v, v)):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            inner()
 
 
 def test_inner_product_hermitian_symmetry():
