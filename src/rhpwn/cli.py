@@ -66,6 +66,7 @@ MAX_SAMPLE_COUNT = 10**6
 MAX_STIRLING_N = 500  # stirling and normal-order share one table: 29 MB at n = 500
 MAX_KERNEL_K = 400  # kernel_values(6, k): about 0.5 s at k = 400, 3.5 s at 1000
 MAX_GRAM_SIZE = 200  # len(fs)^2 inner products: about 1.9 s for 200 one-piece functions at n = 2
+MAX_WORD_LENGTH = 256  # two frames of recursion per creator: about 490 factors overflow it
 
 
 def _check_cap(name: str, value: int, cap: int):
@@ -132,6 +133,7 @@ def _cmd_normal_order(args):
 
 def _cmd_vacuum_moment(args):
     word = jsonio.decode_word(_read_payload(args), "")
+    _check_cap("vacuum-moment word length", len(word), MAX_WORD_LENGTH)
     return jsonio.encode_mu_poly(vacuum_expectation(word))
 
 

@@ -131,6 +131,7 @@ def require_admissible(n: int, f: StepFunction):
 # -- vectors -----------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ExponentialVector:
     """psi_n(f): the product of creator exponentials over the pieces of f.
 
@@ -138,23 +139,11 @@ class ExponentialVector:
     sup-norm bound strictly.
     """
 
-    __slots__ = ("n", "f")
+    n: int
+    f: StepFunction
 
-    def __init__(self, n: int, f: StepFunction):
-        require_admissible(n, f)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentialVector is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExponentialVector):
-            return NotImplemented
-        return self.n == other.n and self.f == other.f
-
-    def __hash__(self):
-        return hash((self.n, self.f))
+    def __post_init__(self):
+        require_admissible(self.n, self.f)
 
     def __str__(self):
         return f"psi_{self.n}({self.f})"
@@ -162,6 +151,7 @@ class ExponentialVector:
     __repr__ = __str__
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class JetVector:
     """Iterated directional derivative of psi_n at its argument.
 
@@ -171,19 +161,16 @@ class JetVector:
     makes the whole vector zero.
     """
 
-    __slots__ = ("base", "directions")
+    base: ExponentialVector
+    directions: tuple = ()
 
-    def __init__(self, base: ExponentialVector, directions=()):
-        directions = tuple(sorted(directions, key=lambda d: d.sort_key()))
+    def __post_init__(self):
+        directions = tuple(sorted(self.directions, key=lambda d: d.sort_key()))
         if len(directions) > 2:
             raise UnsupportedOrderError(
                 f"jet order capped at 2, got {len(directions)} directions"
             )
-        object.__setattr__(self, "base", base)
         object.__setattr__(self, "directions", directions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JetVector is immutable")
 
     @property
     def n(self) -> int:
@@ -196,14 +183,6 @@ class JetVector:
     @property
     def is_zero(self) -> bool:
         return any(d.is_zero for d in self.directions)
-
-    def __eq__(self, other):
-        if not isinstance(other, JetVector):
-            return NotImplemented
-        return self.base == other.base and self.directions == other.directions
-
-    def __hash__(self):
-        return hash((self.base, self.directions))
 
     def __str__(self):
         if not self.directions:
@@ -371,6 +350,21 @@ class _MultiDual:
 
 # -- inner products -----------------------------------------------------------
 
+# Near the admissibility bound c conj(f) g -> 1, so the log kernel's float
+# base 1 - c w, with w = conj(f) g rounded, cancels.  Below this limit it is
+# recomputed from the exact product and rounded once.  Against mpmath
+# (tests/test_fock.py, rel. 1e-12) any limit from 2^-12 up passes; at 1/16 the
+# float path errs by about 2e-15 there, and inputs with |f|^2 up to 0.81 of
+# the bound keep it.
+CANCELLATION_LIMIT = 1 / 16
+
+
+def _uncancelled(base: complex, c: int, cf: ComplexRational, cg: ComplexRational) -> complex:
+    """`base`, a float value of 1 - c conj(cf) cg, or the exact one where it cancelled."""
+    if abs(base) < CANCELLATION_LIMIT:
+        return (1 - cf.conjugate() * cg * c).to_complex()
+    return base
+
 
 def _within_float_range(inner_product):
     """Raise DomainError where a float inner product overflows or is not finite."""
@@ -403,7 +397,7 @@ def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
         exponent = 0j
         for a, b, (cf, cg) in common_refinement([f, g]):
             w = (cf.conjugate() * cg).to_complex()
-            exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
+            exponent += -gamma * float(b - a) * cmath.log(_uncancelled(1 - c * w, c, cf, cg))
     return cmath.exp(exponent)
 
 
@@ -444,6 +438,8 @@ def jet_inner_product(u, v) -> complex:
             S = S + (x * y).scale(ell)
         else:
             one_minus = _MultiDual.const(1) + (x * y).scale(-c)
+            base = _uncancelled(one_minus.constant_part(), c, lc[0], rc[0])
+            one_minus.terms[frozenset()] = base
             S = S + one_minus.log().scale(-gamma * ell)
     return S.exp().coefficient(range(p + q))
 
@@ -572,15 +568,15 @@ def apply_number(n: int, f: StepFunction, g: StepFunction, v) -> JetSum:
 # -- generic representation via the commutator prescription -------------------
 
 
+@dataclass(frozen=True, slots=True)
 class GeneratorOp:
     """B[n,k](fn), applicable where (n,k) matches a representable primitive:
     the order-m creator (m,0), annihilator (0,m), number (m-1,m-1) or the
     central scalar (0,0)."""
 
-    def __init__(self, n: int, k: int, fn: StepFunction):
-        self.n = n
-        self.k = k
-        self.fn = fn
+    n: int
+    k: int
+    fn: StepFunction
 
     def apply(self, state) -> JetSum:
         state = _as_jetsum(state)
@@ -608,11 +604,11 @@ class GeneratorOp:
         return f"B[{self.n},{self.k}]({self.fn})"
 
 
+@dataclass(frozen=True, slots=True)
 class ScaledCommutatorOp:
-    def __init__(self, scale: ComplexRational, left: GeneratorOp, right: GeneratorOp):
-        self.scale = scale
-        self.left = left
-        self.right = right
+    scale: ComplexRational
+    left: GeneratorOp
+    right: GeneratorOp
 
     def apply(self, state) -> JetSum:
         state = _as_jetsum(state)

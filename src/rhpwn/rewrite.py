@@ -34,6 +34,7 @@ factor is rejected rather than guessed.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 from .algebra import RHPWN, GeneratorIndex, order_constants
@@ -155,8 +156,10 @@ def reduce_untruncated_with_stats(word: Word):
     """Normal form of `word` applied to Phi, plus the rewrite-step count.
 
     The step count is the memo's miss count: the distinct sub-reductions
-    computed.  The memo's result dicts are shared and only ever read.
+    computed.  The memo's result dicts are shared and only ever read.  Each
+    product fn * g is also computed once, so equal products are one object.
     """
+    product = functools.cache(operator.mul)
 
     @functools.cache
     def apply(n, k, fn, mono):
@@ -183,7 +186,7 @@ def reduce_untruncated_with_stats(word: Word):
             out[key] = out.get(key, MuPoly.zero()) + coeff
         # Bracket term: [B[n,k], B[m,0]] = k m B[n+m-1, k-1](fn g).
         const = k * m
-        for mono2, coeff in apply(n + m - 1, k - 1, fn * g, rest).items():
+        for mono2, coeff in apply(n + m - 1, k - 1, product(fn, g), rest).items():
             out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(const)
         return out
 
@@ -198,6 +201,7 @@ def reduce_untruncated_with_stats(word: Word):
             break
     steps = apply.cache_info().misses
     apply.cache_clear()  # `apply` refers to itself: free the memo now, not at GC
+    product.cache_clear()
     return VacuumState(terms), steps
 
 

@@ -165,7 +165,8 @@ class SymbolicIndicator:
     """chi_I for the fixed abstract interval I of measure mu.
 
     Closed under product and conjugation (both return chi_I itself); the
-    integral is the symbolic measure mu.
+    integral is the symbolic measure mu.  `CHI` is the only instance, so
+    equality and hashing are the default identity ones, done in C.
     """
 
     __slots__ = ()
@@ -187,12 +188,6 @@ class SymbolicIndicator:
 
     def sort_key(self):
         return (0, ())
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolicIndicator)
-
-    def __hash__(self):
-        return hash("chi_I")
 
     def __str__(self):
         return "chi_I"

@@ -483,6 +483,34 @@ def test_gram_size_cap(capsys, monkeypatch):
     assert_refused(capsys, ["gram"], "gram fs length 3 exceeds the cap 2")
 
 
+def test_word_length_cap(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    # (B[0,1])^128 (B[1,0])^128 over chi_I: 256 factors, the most allowed.
+    balanced = [{"n": 0, "k": 1}] * 128 + [{"n": 1, "k": 0}] * 128
+    code, text = run_cli(["vacuum-moment"], json.dumps(balanced), monkeypatch)
+    assert code == 0
+    assert json.loads(text)["mu_poly"][-1] == str(math.factorial(128))
+    # One more factor is refused before the reduction starts; 500 of them
+    # used to overflow the recursion and exit 1.
+    monkeypatch.setattr(cli_mod, "vacuum_expectation", _never)
+    word = [{"n": 0, "k": 1}] + [{"n": 1, "k": 0}] * 256
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(word)))
+    assert_refused(capsys, ["vacuum-moment"], "vacuum-moment word length 257 exceeds the cap 256")
+
+
+def test_inner_product_at_the_bound_is_computed(capsys, monkeypatch):
+    # |f|^2 = 1/4 - 10^-20 at order 2 (bound 1/4): <psi(f), psi(f)> =
+    # (1 - 4|f|^2)^(-1/2) = 5e9, once the cancelled float base is redone exactly
+    piece = [{"a": "0", "b": "1", "re": "49999999999999999999/100000000000000000000"}]
+    payload = {"n": 2, "f": piece, "g": piece}
+    code, text = run_cli(["inner-product"], json.dumps(payload), monkeypatch)
+    assert code == 0
+    out = json.loads(text)
+    assert float(out["re"]) == pytest.approx(5e9, rel=1e-12)
+    assert out["im"] == "0"
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     import argparse
 
@@ -568,6 +596,15 @@ _WINFTY_PAYLOAD = {
     "b": [{"tag": "WINFTY", "n": 2, "k": 2, "pieces": [{"a": "1/3", "b": "3/2", "re": "0", "im": "2"}]}],
 }
 _WORD = [{"n": 0, "k": 2}, {"n": 1, "k": 1}, {"n": 0, "k": 1}, {"n": 1, "k": 0}, {"n": 2, "k": 0}]
+# Overlapping rational indicators: the reduction multiplies concrete functions.
+_OVERLAP_WORD = [
+    {"n": 0, "k": 2, "function": [{"a": "0", "b": "3/2", "re": "1", "im": "0"}]},
+    {"n": 1, "k": 1, "function": [{"a": "1/2", "b": "2", "re": "2/3", "im": "-1"}]},
+    {"n": 0, "k": 1, "function": [{"a": "1/3", "b": "1", "re": "1", "im": "1/2"}]},
+    {"n": 2, "k": 0, "function": [{"a": "1/4", "b": "5/4", "re": "1", "im": "0"}]},
+    {"n": 1, "k": 0, "function": [{"a": "0", "b": "1", "re": "-1/4", "im": "0"},
+                                  {"a": "1", "b": "5/2", "re": "3", "im": "0"}]},
+]
 _GRAM = {
     "n": 2,
     "fs": [
@@ -600,6 +637,7 @@ _PINNED_CASES = [
     ("stirling", ["stirling", "--n", "9", "--k", "4"], None),
     ("normal-order", ["normal-order", "--n", "6"], None),
     ("vacuum-moment", ["vacuum-moment"], _WORD),
+    ("vacuum-moment-overlap", ["vacuum-moment"], _OVERLAP_WORD),
     ("kernel", ["kernel", "--n", "3", "--k", "5"], None),
     ("gram", ["gram"], _GRAM),
     ("inner-product", ["inner-product"], _INNER),
@@ -647,6 +685,11 @@ _PINNED_DIGESTS = {
         "61f95b3140b76bbf3db45c81b2f8cc36415fb304df4e9916558ddc7860472116",
         "61f95b3140b76bbf3db45c81b2f8cc36415fb304df4e9916558ddc7860472116",
         "b7a0f138fa40bc052a8ae50b50daf176112bce8e590cbd626f320308ec24f91c",
+    ),
+    "vacuum-moment-overlap": (
+        "b62e67a5ceac8f151468ee79b4e92e9f5736b8e4b2c5db65a0e0b35ef9083a7a",
+        "b62e67a5ceac8f151468ee79b4e92e9f5736b8e4b2c5db65a0e0b35ef9083a7a",
+        "5f36e655c3a79881ae07bc4a77ae5b33b598cf4fdabd2ab7647424a1615e4411",
     ),
     "kernel": (
         "0211b3edf6557fc8bc909435e086cb8d3d804dd65c7d6873a929f65c16c2bc6a",

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -30,6 +31,7 @@ from rhpwn.fock import (
     kernel_values,
     pair,
 )
+from rhpwn.algebra import order_constants
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import kernel_bruteforce
 from rhpwn.scalars import ComplexRational
@@ -195,6 +197,23 @@ def test_inner_product_beyond_the_float_range(n, end, coeff):
                   lambda: pair(v, v)):
         with pytest.raises(DomainError, match="leaves the float range"):
             inner()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("digits", range(1, 19))
+def test_inner_product_near_the_bound_against_mpmath(n, digits):
+    # f = a chi_[0,1) with |a|^2 = (1 - 10^-digits) / c, just inside the
+    # order-n bound: the float 1 - c a^2 cancels, the exact one does not.
+    half, c = order_constants(n)
+    target = (1 - Fraction(1, 10**digits)) / c
+    a = Fraction(math.isqrt(target.numerator * 10**80 // target.denominator), 10**40)
+    with mpmath.workdps(60):
+        base = 1 - c * mpmath.mpf((a * a).numerator) / (a * a).denominator
+        want = complex(base ** (-mpmath.mpf(1) / half))
+    f = StepFunction.indicator(0, 1, a)
+    v = ExponentialVector(n, f)
+    assert exp_inner_product(n, f, f) == pytest.approx(want, rel=1e-12)
+    assert jet_inner_product(v, v) == pytest.approx(want, rel=1e-12)
 
 
 def test_inner_product_hermitian_symmetry():

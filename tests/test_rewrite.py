@@ -176,17 +176,39 @@ def test_memoized_reduction_matches_unmemoized_reference():
         assert_memo_matches_reference(w)
 
 
-def test_memoized_reduction_of_long_creator_annihilator_word():
+def long_creator_annihilator_word():
     # (B[0,3](f_i))^8 (B[3,0](f_j))^8 over six unit indicators shifted by 1/3,
     # taken in turn: sub-reductions repeat heavily
     ind = [StepFunction.indicator(Fraction(i, 3), Fraction(i, 3) + 1) for i in range(6)]
-    w = Word(
+    return Word(
         [(GeneratorIndex("RHPWN", 0, 3), ind[i % 6]) for i in range(8)]
         + [(GeneratorIndex("RHPWN", 3, 0), ind[i % 6]) for i in range(8)]
     )
-    steps, reference_steps = assert_memo_matches_reference(w)
+
+
+def test_memoized_reduction_of_long_creator_annihilator_word():
+    steps, reference_steps = assert_memo_matches_reference(long_creator_annihilator_word())
     assert steps < reference_steps
     assert steps == 3102
+
+
+def test_each_product_of_test_functions_is_computed_once(monkeypatch):
+    # The memo misses 3102 times, but each ordered pair (fn, g) of the
+    # bracket term is multiplied once.
+    w = long_creator_annihilator_word()
+    pairs = []
+    mul = StepFunction.__mul__
+
+    def counted(self, other):
+        pairs.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(StepFunction, "__mul__", counted)
+    state, steps = reduce_untruncated_with_stats(w)
+    monkeypatch.undo()
+    assert steps == 3102
+    assert pairs and len(pairs) == len(set(pairs))
+    assert state == UnmemoizedReducer().reduce(w)
 
 
 @pytest.mark.xfail(

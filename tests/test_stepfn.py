@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_step_function, step_functions
 from rhpwn.scalars import ComplexRational
-from rhpwn.stepfn import CHI, StepFunction, common_refinement
+from rhpwn.stepfn import CHI, StepFunction, SymbolicIndicator, common_refinement
 from rhpwn.errors import TagMismatchError
 
 
@@ -99,6 +99,17 @@ def test_symbolic_indicator():
         CHI * StepFunction.indicator(0, 1)
     with pytest.raises(TagMismatchError):
         StepFunction.indicator(0, 1) * CHI
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(step_functions())
+def test_chi_is_equal_only_to_itself(fn):
+    # CHI is the one SymbolicIndicator, so identity is its equality
+    assert "__eq__" not in vars(SymbolicIndicator)
+    assert "__hash__" not in vars(SymbolicIndicator)
+    assert CHI == CHI and hash(CHI) == hash(CHI)
+    assert CHI != fn and fn != CHI
+    assert CHI != StepFunction.zero() and StepFunction.indicator(0, 1) != CHI
 
 
 def test_sum_and_product_across_zero_are_closed():
