@@ -36,7 +36,6 @@ from .fock import (
     JetSum,
     JetVector,
     G_eval,
-    G_taylor_coeff,
     Ghat_eval,
     apply_annihilator,
     apply_creator,

@@ -23,15 +23,14 @@ sum), so cross-order pairings are 0.
 from __future__ import annotations
 
 import cmath
-import contextlib
-import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import order_constants
+from .algebra import RHPWN, GeneratorIndex, bracket_index_and_constant, order_constants
 from .errors import (
     DomainError,
     PrescriptionError,
@@ -39,7 +38,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .mupoly import MU, MuPoly
-from .scalars import ComplexRational
+from .scalars import QC_ZERO, ComplexRational
 from .stepfn import StepFunction, common_refinement
 
 # -- closed-form kernels and generating functions ---------------------------
@@ -48,7 +47,10 @@ from .stepfn import StepFunction, common_refinement
 def kernel_values(n: int, k: int):
     """Squared norm pi_{n,k} of (B[n,0])^k Phi and h_{n,k} = pi_{n,k}/k!.
 
-    pi_{n,k}(mu) = k! n^k prod_{i<k} (mu + n^2(n-1)/2 * i), exact.
+    pi_{n,k}(mu) = k! n^k prod_{i<k} (mu + n^2(n-1)/2 * i), exact.  h_{n,k}
+    is also the k-th derivative of G_n at u = 0: for n >= 2 the rising
+    factorial of the binomial series gives prod_{i<k} (n mu + c i) with
+    c = n^3(n-1)/2, and for n = 1 both are mu^k.
     """
     if n < 1 or k < 0:
         raise DomainError(f"kernel indices need n >= 1, k >= 0, got ({n}, {k})")
@@ -83,25 +85,6 @@ def Ghat_eval(n: int, u: complex) -> complex:
             f"Ghat_{n} needs |{c}*u| < 1 for the principal log, got u={u}"
         )
     return -(1 / half) * cmath.log(1 - c * u)
-
-
-def G_taylor_coeff(n: int, k: int) -> MuPoly:
-    """k-th derivative of G_n at u = 0, exact.
-
-    For n >= 2 this is the rising factorial of the binomial series,
-    c^k alpha (alpha+1) ... (alpha+k-1) with c = n^3(n-1)/2 and
-    alpha = 2 mu / (n^2(n-1)), so each factor contributes n mu + c i.
-    Must equal h_{n,k}.
-    """
-    if n < 1 or k < 0:
-        raise DomainError(f"Taylor indices need n >= 1, k >= 0, got ({n}, {k})")
-    if n == 1:
-        return MuPoly.monomial(k)
-    c = order_constants(n)[1]
-    out = MuPoly.one()
-    for i in range(k):
-        out = out * (MU.scaled(n) + c * i)
-    return out
 
 
 # -- admissibility -----------------------------------------------------------
@@ -281,10 +264,6 @@ class _MultiDual:
         self.terms = {s: c for s, c in terms.items() if c != 0}
 
     @classmethod
-    def const(cls, c) -> "_MultiDual":
-        return cls({frozenset(): complex(c)})
-
-    @classmethod
     def affine(cls, c0, linear) -> "_MultiDual":
         terms = {frozenset(): complex(c0)}
         for i, ci in linear.items():
@@ -310,38 +289,15 @@ class _MultiDual:
     def scale(self, c) -> "_MultiDual":
         return _MultiDual({s: v * c for s, v in self.terms.items()})
 
-    def constant_part(self) -> complex:
-        return self.terms.get(frozenset(), 0j)
-
     def nilpotent_part(self) -> "_MultiDual":
         return _MultiDual({s: c for s, c in self.terms.items() if s})
 
-    def exp(self) -> "_MultiDual":
-        scalar = cmath.exp(self.constant_part())
-        nil = self.nilpotent_part()
-        out = _MultiDual.const(1)
-        power = _MultiDual.const(1)
-        j = 1
-        while True:
-            power = power * nil
-            if not power.terms:
-                break
-            out = out + power.scale(1 / math.factorial(j))
-            j += 1
-        return out.scale(scalar)
-
-    def log(self) -> "_MultiDual":
-        z0 = self.constant_part()
-        out = _MultiDual.const(cmath.log(z0))
-        ratio = self.nilpotent_part().scale(1 / z0)
-        power = _MultiDual.const(1)
-        j = 1
-        while True:
-            power = power * ratio
-            if not power.terms:
-                break
-            out = out + power.scale((-1) ** (j + 1) / j)
-            j += 1
+    def series(self, coeff) -> "_MultiDual":
+        """sum_{j >= 1} coeff(j) self^j; finite, as self must be nilpotent."""
+        out, power, j = _MultiDual({}), self, 1
+        while power.terms:
+            out = out + power.scale(coeff(j))
+            power, j = power * self, j + 1
         return out
 
     def coefficient(self, indices) -> complex:
@@ -359,89 +315,91 @@ class _MultiDual:
 CANCELLATION_LIMIT = 1 / 16
 
 
-def _uncancelled(base: complex, c: int, cf: ComplexRational, cg: ComplexRational) -> complex:
-    """`base`, a float value of 1 - c conj(cf) cg, or the exact one where it cancelled."""
-    if abs(base) < CANCELLATION_LIMIT:
-        return (1 - cf.conjugate() * cg * c).to_complex()
-    return base
+def _log_base(c: int, w: ComplexRational) -> complex:
+    """log of the log kernel's base 1 - c w, with w = conj(f) g on one piece.
 
-
-def _within_float_range(inner_product):
-    """Raise DomainError where a float inner product overflows or is not finite."""
-    @functools.wraps(inner_product)
-    def guarded(*args):
-        with contextlib.suppress(OverflowError):
-            value = inner_product(*args)
-            if cmath.isfinite(value):
-                return value
-        raise DomainError("the inner product leaves the float range")
-
-    return guarded
-
-
-@_within_float_range
-def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
-    """<psi_n(f), psi_n(g)>, conjugate-linear in f.
-
-    Piecewise over the common refinement; the per-piece integrands are exact
-    rationals fed to exp/log in float.  Raises DomainError when a piece
-    length or the value leaves the float range; an exponent below it gives 0.
+    Where the float base cancelled it is recomputed from the exact w and
+    rounded once; where even that rounds to 0 or a subnormal, log|base| and
+    arg(base) are taken from its integer parts.
     """
-    require_admissible(n, f)
-    require_admissible(n, g)
-    if n == 1:
-        exponent = (f.conjugate() * g).integral().to_complex()
-    else:
-        half, c = order_constants(n)
-        gamma = 1 / half
-        exponent = 0j
-        for a, b, (cf, cg) in common_refinement([f, g]):
-            w = (cf.conjugate() * cg).to_complex()
-            exponent += -gamma * float(b - a) * cmath.log(_uncancelled(1 - c * w, c, cf, cg))
-    return cmath.exp(exponent)
+    base = 1 - c * w.to_complex()
+    if abs(base) < CANCELLATION_LIMIT:
+        exact = 1 - w * c
+        base = exact.to_complex()
+        if abs(base) < sys.float_info.min:
+            d = math.lcm(exact.re.denominator, exact.im.denominator)
+            re, im = int(exact.re * d), int(exact.im * d)
+            m = max(abs(re), abs(im))
+            return complex(math.log(re * re + im * im) / 2 - math.log(d),
+                           math.atan2(im / m, re / m))
+    return cmath.log(base)
 
 
-@_within_float_range
+def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
+    """<psi_n(f), psi_n(g)>, conjugate-linear in f: the jet pairing of
+    psi_n(f) and psi_n(g), which have no directions."""
+    return jet_inner_product(ExponentialVector(n, f), ExponentialVector(n, g))
+
+
 def jet_inner_product(u, v) -> complex:
     """Pairing of two jets: a mixed partial of the closed-form kernel.
 
     Left directions differentiate the conjugated slot, right directions the
-    linear slot; pairs of different Fock order return 0 (direct sum).  Raises
-    DomainError when the value leaves the float range.
+    linear slot; pairs of different Fock order return 0 (direct sum).  On
+    each piece of the common refinement the constant part of the exponent
+    uses the exact conj(f) g: for n = 1 it is summed exactly and rounded
+    once, for n >= 2 each piece adds its float log term.  Directions add
+    only nilpotent parts, and the value is exp(constant) times the mixed
+    coefficient of exp(nilpotent).  Raises DomainError when a piece length
+    or the value leaves the float range; an exponent below it gives 0.
     """
     u = as_jet(u)
     v = as_jet(v)
     if u.n != v.n:
         return 0j
-    n = u.n
-    p, q = u.order, v.order
+    n, p, q = u.n, u.order, v.order
     if p + q > 4:
         raise UnsupportedOrderError(f"combined jet order {p + q} exceeds 4")
-    fns = [u.base.f, *u.directions, v.base.f, *v.directions]
     if n >= 2:
         half, c = order_constants(n)
         gamma = 1 / half
-    S = _MultiDual.const(0)
-    for a, b, coeffs in common_refinement(fns):
-        ell = float(b - a)
-        lc = coeffs[: 1 + p]
-        rc = coeffs[1 + p :]
-        x = _MultiDual.affine(
-            lc[0].conjugate().to_complex(),
-            {i: lc[1 + i].conjugate().to_complex() for i in range(p)},
-        )
-        y = _MultiDual.affine(
-            rc[0].to_complex(),
-            {p + j: rc[1 + j].to_complex() for j in range(q)},
-        )
+    exact, exponent, nil = ComplexRational(0), 0j, _MultiDual({})
+    try:
+        for a, b, coeffs in common_refinement([u.base.f, *u.directions, v.base.f, *v.directions]):
+            cf, cg = coeffs[0], coeffs[1 + p]
+            w = cf.conjugate() * cg
+            if n >= 2:
+                log_base = _log_base(c, w)
+                exponent += -gamma * float(b - a) * log_base
+            elif cf is not QC_ZERO and cg is not QC_ZERO:  # a gap of f or g adds 0
+                exact += w * (b - a)
+            if not p + q:
+                continue
+            x = _MultiDual.affine(
+                cf.conjugate().to_complex(),
+                {i: d.conjugate().to_complex() for i, d in enumerate(coeffs[1 : 1 + p])},
+            )
+            y = _MultiDual.affine(
+                cg.to_complex(),
+                {p + j: d.to_complex() for j, d in enumerate(coeffs[2 + p :])},
+            )
+            xy = (x * y).nilpotent_part()
+            if n == 1:
+                nil = nil + xy.scale(float(b - a))
+            elif xy.terms:
+                # log(1 - c xy) = log(base) + log(1 - (c / base) xy_nilpotent)
+                log_1p = xy.scale(c * cmath.exp(-log_base)).series(lambda j: -1 / j)
+                nil = nil + log_1p.scale(-gamma * float(b - a))
         if n == 1:
-            S = S + (x * y).scale(ell)
-        else:
-            one_minus = _MultiDual.const(1) + (x * y).scale(-c)
-            base = _uncancelled(one_minus.constant_part(), c, lc[0], rc[0])
-            one_minus.terms[frozenset()] = base
-            S = S + one_minus.log().scale(-gamma * ell)
-    return S.exp().coefficient(range(p + q))
+            exponent = exact.to_complex()
+        value = cmath.exp(exponent)
+        if p + q:
+            value *= nil.series(lambda j: 1 / math.factorial(j)).coefficient(range(p + q))
+    except OverflowError:
+        value = cmath.inf
+    if not cmath.isfinite(value):
+        raise DomainError("the inner product leaves the float range")
+    return value
 
 
 def pair(u, v) -> complex:
@@ -468,8 +426,6 @@ def gram_psd_check(n: int, fs, tol: float) -> GramReport:
     """Gram matrix of exponential vectors and its PSD verdict."""
     fs = list(fs)
     size = len(fs)
-    for f in fs:
-        require_admissible(n, f)
     m = np.zeros((size, size), dtype=complex)
     for i in range(size):
         for j in range(i, size):
@@ -628,7 +584,7 @@ def generic_rep_build(
     The factors must resolve to representable primitives on the space the
     result is applied to; kN - Kn = 0 makes the prescription inapplicable.
     """
-    const = k * N - K * n
+    const, _ = bracket_index_and_constant(GeneratorIndex(RHPWN, n, k), GeneratorIndex(RHPWN, N, K))
     if const == 0:
         raise PrescriptionError(
             f"kN - Kn = 0 for (n,k,N,K) = ({n},{k},{N},{K}); prescription inapplicable"

@@ -17,7 +17,6 @@ from rhpwn.algebra import RHPWN, WINFTY, AlgebraElement, commutator, involution
 from rhpwn.fock import (
     ExponentialVector,
     G_eval,
-    G_taylor_coeff,
     Ghat_eval,
     JetSum,
     apply_annihilator,
@@ -143,9 +142,14 @@ def test_criterion_04_truncation_vacuity():
 
 @_criterion(5, "G Taylor = h exactly (n<=5, k<=10); G = exp(mu Ghat) to 1e-12")
 def test_criterion_05_generating_functions():
+    # G_n(u) = exp(mu u) for n = 1 and (1 - c u)^(-alpha) with alpha = mu/half
+    # for n >= 2, so its k-th derivative at 0 is mu^k or c^k alpha (alpha+1)...(alpha+k-1)
     for n in range(1, 6):
+        half, c = Fraction(n * n * (n - 1), 2), Fraction(n**3 * (n - 1), 2)
+        taylor = MuPoly.one()
         for k in range(11):
-            assert G_taylor_coeff(n, k) == kernel_values(n, k)[1]
+            assert taylor == kernel_values(n, k)[1]
+            taylor = taylor * (MU if n == 1 else (MU.scaled(1 / half) + k).scaled(c))
     rng = random.Random(1005)
     for _ in range(100):
         n = rng.randint(2, 5)

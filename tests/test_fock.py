@@ -17,7 +17,6 @@ from rhpwn.errors import (
 from rhpwn.fock import (
     ExponentialVector,
     G_eval,
-    G_taylor_coeff,
     Ghat_eval,
     JetSum,
     JetVector,
@@ -55,6 +54,9 @@ def test_kernel_values_examples():
     pi22, _ = kernel_values(2, 2)
     assert pi22 == (MU * MU).scaled(8) + MU.scaled(16)
     assert pi22 == kernel_bruteforce(2, 2)
+    assert kernel_values(3, 0)[1] == MuPoly.one()
+    assert kernel_values(2, 1)[1] == MU.scaled(2)
+    assert kernel_values(2, 2)[1] == (MU * MU).scaled(4) + MU.scaled(8)
 
 
 def test_g_eval_closed_forms():
@@ -79,6 +81,8 @@ def test_constant_home_matches_inline_expressions():
         return -(2 / (n * n * (n - 1))) * cmath.log(1 - c * u)
 
     def inner_old(n, f, g):
+        if n == 1:
+            return cmath.exp((f.conjugate() * g).integral().to_complex())
         c = float(Fraction(n**3 * (n - 1), 2))
         gamma = float(Fraction(2, n * n * (n - 1)))
         exponent = 0j
@@ -86,6 +90,20 @@ def test_constant_home_matches_inline_expressions():
             w = (cf.conjugate() * cg).to_complex()
             exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
         return cmath.exp(exponent)
+
+    def many_pieces(rng, n):
+        # 20 to 60 pieces on [0, 4) with endpoints in (1/240)Z and |coeff|^2
+        # at most 0.81 of the order-n bound (of 1 for n = 1)
+        count = rng.randint(20, 60)
+        cuts = sorted(rng.sample(range(960), 2 * count))
+        bound = Fraction(1) if n == 1 else Fraction(2, n**3 * (n - 1))
+        root = Fraction(math.isqrt(int(bound / 2 * 10**6)), 1000)
+        return StepFunction([
+            (Fraction(a, 240), Fraction(b, 240),
+             ComplexRational(root * Fraction(rng.randint(-9, 9), 10),
+                             root * Fraction(rng.randint(-9, 9), 10)))
+            for a, b in zip(cuts[::2], cuts[1::2])
+        ])
 
     rng = random.Random(2024)
     for _ in range(2000):
@@ -99,6 +117,14 @@ def test_constant_home_matches_inline_expressions():
         n = rng.randint(2, 6)
         f = rand_admissible(rng, n, max_pieces=3)
         g = rand_admissible(rng, n, max_pieces=3)
+        assert exp_inner_product(n, f, g) == inner_old(n, f, g)
+    for _ in range(100):
+        f = rand_admissible(rng, 1, max_pieces=3)
+        g = rand_admissible(rng, 1, max_pieces=3)
+        assert exp_inner_product(1, f, g) == inner_old(1, f, g)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        f, g = many_pieces(rng, n), many_pieces(rng, n)
         assert exp_inner_product(n, f, g) == inner_old(n, f, g)
 
 
@@ -125,14 +151,14 @@ def test_g_exponential_form():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_taylor_identity(n):
+    # h_{n,k} against the k-th derivative at 0 of G_n(u) = exp(mu u) for n = 1
+    # and (1 - c u)^(-alpha), alpha = mu/half, for n >= 2, written as the
+    # binomial series gives it: mu^k or c^k alpha (alpha+1) ... (alpha+k-1)
+    half, c = Fraction(n * n * (n - 1), 2), Fraction(n**3 * (n - 1), 2)
+    taylor = MuPoly.one()
     for k in range(11):
-        assert G_taylor_coeff(n, k) == kernel_values(n, k)[1]
-
-
-def test_taylor_coeff_examples():
-    assert G_taylor_coeff(3, 0) == MuPoly.one()
-    assert G_taylor_coeff(2, 1) == MU.scaled(2)
-    assert G_taylor_coeff(2, 2) == (MU * MU).scaled(4) + MU.scaled(8)
+        assert kernel_values(n, k)[1] == taylor
+        taylor = taylor * (MU if n == 1 else (MU.scaled(1 / half) + k).scaled(c))
 
 
 def test_taylor_coeff_against_sympy_series():
@@ -148,7 +174,7 @@ def test_taylor_coeff_against_sympy_series():
         series = sympy.expand(sympy.series(G, u, 0, 9).removeO())
         for k in range(9):
             want = sympy.expand(sympy.factorial(k) * series.coeff(u, k))
-            got = mupoly_to_sympy(G_taylor_coeff(n, k), mu)
+            got = mupoly_to_sympy(kernel_values(n, k)[1], mu)
             assert sympy.expand(got - want) == 0, (n, k)
 
 
@@ -214,6 +240,29 @@ def test_inner_product_near_the_bound_against_mpmath(n, digits):
     v = ExponentialVector(n, f)
     assert exp_inner_product(n, f, f) == pytest.approx(want, rel=1e-12)
     assert jet_inner_product(v, v) == pytest.approx(want, rel=1e-12)
+
+
+# a = 1/2 - 1/(4 10^400): at n = 2 the exact base 1 - 4 a^2 is about 10^-400,
+# which rounds to 0.0 as a float
+TINY_BASE_COEFF = Fraction(1, 2) - Fraction(1, 4 * 10**400)
+
+
+@pytest.mark.parametrize("end", [Fraction(1), Fraction(1, 1000)])
+def test_inner_product_on_a_base_below_the_float_range_against_mpmath(end):
+    base = 1 - 4 * TINY_BASE_COEFF**2
+    with mpmath.workdps(30):
+        base = mpmath.mpf(base.numerator) / base.denominator
+        want = complex(base ** (-mpmath.mpf(end.numerator) / (2 * end.denominator)))
+    f = StepFunction.indicator(0, end, TINY_BASE_COEFF)
+    assert exp_inner_product(2, f, f) == pytest.approx(want, rel=1e-10)
+
+
+def test_jet_on_a_base_below_the_float_range_leaves_the_float_range():
+    v = ExponentialVector(2, StepFunction.indicator(0, 1, TINY_BASE_COEFF))
+    jet = apply_creator(2, StepFunction.indicator(0, 1), v)
+    for u, w in ((jet, v), (v, jet), (jet, jet)):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            jet_inner_product(u, w)
 
 
 def test_inner_product_hermitian_symmetry():
