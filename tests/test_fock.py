@@ -54,6 +54,10 @@ def test_kernel_values_examples():
     pi22, _ = kernel_values(2, 2)
     assert pi22 == (MU * MU).scaled(8) + MU.scaled(16)
     assert pi22 == kernel_bruteforce(2, 2)
+
+
+def test_taylor_coeff_examples():
+    # the Taylor coefficients G_n^{(k)}(0) are the second half of kernel_values
     assert kernel_values(3, 0)[1] == MuPoly.one()
     assert kernel_values(2, 1)[1] == MU.scaled(2)
     assert kernel_values(2, 2)[1] == (MU * MU).scaled(4) + MU.scaled(8)
