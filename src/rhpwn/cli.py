@@ -2,10 +2,13 @@
 
 One subcommand per library operation, registered once, in `build_parser`.
 Each handler returns one JSON object; it goes to stdout as JSON by default,
-and with --format csv its rows are rendered from that same object.  Exact
-rationals are emitted as "p/q" strings and floats with 17 significant
-digits, so identical invocations produce byte-identical output.  Exit codes:
-0 success, 2 domain or input errors, 1 internal failure.
+and with --format csv its rows are rendered from that same object.  The JSON
+is written by `jsonio.write_json`: the bytes the standard `json` module
+writes with indent=2, ASCII only, streamed one element at a time, for dicts,
+lists, str, int, bool and None only.  Exact rationals are emitted as "p/q"
+strings and floats with 17 significant digits, so identical invocations
+produce byte-identical output.  Exit codes: 0 success, 2 domain or input
+errors, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
         )
         return 1
     if args.format == "json":
-        json.dump(json_obj, sys.stdout, indent=2)
+        jsonio.write_json(json_obj, sys.stdout)
         sys.stdout.write("\n")
     else:
         _write_csv(args.rows(json_obj), sys.stdout)

@@ -350,8 +350,11 @@ def jet_inner_product(u, v) -> complex:
     uses the exact conj(f) g: for n = 1 it is summed exactly and rounded
     once, for n >= 2 each piece adds its float log term.  Directions add
     only nilpotent parts, and the value is exp(constant) times the mixed
-    coefficient of exp(nilpotent).  Raises DomainError when a piece length
-    or the value leaves the float range; an exponent below it gives 0.
+    coefficient of exp(nilpotent).  A piece where conj(f) g = 0 adds nothing
+    to the constant part, and one with no nilpotent part adds nothing to the
+    rest, however long it is.  Raises DomainError when the length of a piece
+    that does add or the value leaves the float range; an exponent below it
+    gives 0.
     """
     u = as_jet(u)
     v = as_jet(v)
@@ -367,12 +370,15 @@ def jet_inner_product(u, v) -> complex:
     try:
         for a, b, coeffs in common_refinement([u.base.f, *u.directions, v.base.f, *v.directions]):
             cf, cg = coeffs[0], coeffs[1 + p]
-            w = cf.conjugate() * cg
-            if n >= 2:
-                log_base = _log_base(c, w)
+            if cf is QC_ZERO or cg is QC_ZERO:
+                # conj(f) g = 0 adds nothing to the exponent (log 1 = 0 for
+                # n >= 2), however long the piece
+                log_base = 0j
+            elif n >= 2:
+                log_base = _log_base(c, cf.conjugate() * cg)
                 exponent += -gamma * float(b - a) * log_base
-            elif cf is not QC_ZERO and cg is not QC_ZERO:  # a gap of f or g adds 0
-                exact += w * (b - a)
+            else:
+                exact += cf.conjugate() * cg * (b - a)
             if not p + q:
                 continue
             x = _MultiDual.affine(
@@ -384,9 +390,11 @@ def jet_inner_product(u, v) -> complex:
                 {p + j: d.to_complex() for j, d in enumerate(coeffs[2 + p :])},
             )
             xy = (x * y).nilpotent_part()
+            if not xy.terms:  # no nilpotent part, however long the piece
+                continue
             if n == 1:
                 nil = nil + xy.scale(float(b - a))
-            elif xy.terms:
+            else:
                 # log(1 - c xy) = log(base) + log(1 - (c / base) xy_nilpotent)
                 log_1p = xy.scale(c * cmath.exp(-log_base)).series(lambda j: -1 / j)
                 nil = nil + log_1p.scale(-gamma * float(b - a))

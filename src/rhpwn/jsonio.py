@@ -9,11 +9,16 @@ Wire formats (exact rationals are encoded as "p/q" strings):
 
 Decoders validate shape strictly (unknown fields rejected) and raise
 SchemaError carrying the JSON-pointer of the offending node.
+
+`write_json` is the one writer of the command line's JSON: the bytes the
+standard `json` module writes with indent=2, ASCII only, streamed, for dicts
+with str keys, lists, str, int, bool and None only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
 from .errors import IndexRangeError, SchemaError
@@ -165,3 +170,75 @@ def decode_mu_poly(value, pointer="") -> MuPoly:
         return MuPoly.from_strings(items)
     except ValueError as exc:
         raise SchemaError(f"{pointer}/mu_poly", str(exc)) from exc
+
+
+# -- writing ----------------------------------------------------------------------
+
+
+def _encode(obj, indent: str) -> str:
+    """obj as `json` spells it with indent=2, its closing bracket after
+    `indent` (a newline and its spaces).  str leaves are quoted in place;
+    encode_basestring_ascii raises TypeError for a non-str key."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _encode(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_quote(v) if type(v) is str else _encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def write_json(obj, stream) -> None:
+    """Write obj to stream byte for byte as `json` writes it with indent=2.
+
+    Only dicts with str keys, lists, str, int, bool and None are written;
+    any other value, a float or a tuple included, raises TypeError.  The
+    top-level container and each list directly under it go out one element
+    per write, so a large result is never held as one string; anything
+    deeper is one string per element.
+    """
+    write = stream.write
+    if isinstance(obj, dict) and obj:
+        write("{")
+        entries = ((_quote(k) + ": ", v) for k, v in obj.items())
+        close = "\n}"
+    elif isinstance(obj, list) and obj:
+        write("[")
+        entries = (("", v) for v in obj)
+        close = "\n]"
+    else:
+        write(_encode(obj, "\n"))
+        return
+    sep = "\n  "
+    for head, value in entries:
+        if isinstance(value, list) and value:
+            write(sep + head + "[")
+            item_sep = "\n    "
+            for item in value:
+                text = _quote(item) if type(item) is str else _encode(item, "\n    ")
+                write(item_sep + text)
+                item_sep = ",\n    "
+            write("\n  ]")
+        else:
+            write(sep + head + _encode(value, "\n  "))
+        sep = ",\n  "
+    write(close)

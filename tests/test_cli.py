@@ -432,7 +432,7 @@ def test_products_across_zero_are_computed(capsys, monkeypatch):
         ("inner-product", {"n": 2, "f": _pieces(("0", "100000", "1/10")),
                            "g": _pieces(("0", "100000", "1/10"))}, "leaves the float range"),
         ("inner-product", {"n": 2, "f": _pieces(("0", "1e400", "1/10")),
-                           "g": _pieces(("0", "1", "1/10"))}, "leaves the float range"),
+                           "g": _pieces(("0", "1e400", "1/10"))}, "leaves the float range"),
         ("gram", {"n": 1, "fs": [_pieces(("0", "1", "30"))]}, "leaves the float range"),
         ("gram", {"n": 1, "fs": [], "tol": "1e400"}, "/tol: tol leaves the float range"),
     ],

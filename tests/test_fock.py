@@ -229,6 +229,29 @@ def test_inner_product_beyond_the_float_range(n, end, coeff):
             inner()
 
 
+def test_inner_product_ignores_the_length_of_a_piece_where_f_or_g_vanishes():
+    # n = 2 (half = 2, c = 4): on [1, 10^400) g = 0, so that piece adds log 1 = 0,
+    # and the value is (1 - 4/100)^(-1/2) from [0, 1) alone; a left direction h
+    # differentiates conj(f), adding the factor (1/2) 4 (1/10) / 0.96
+    f = StepFunction.indicator(0, 10**400, Fraction(1, 10))
+    g = StepFunction.indicator(0, 1, Fraction(1, 10))
+    h = StepFunction.indicator(0, 1)
+    with mpmath.workdps(30):
+        base = 1 - mpmath.mpf(4) / 100
+        want = complex(base ** (-mpmath.mpf(1) / 2))
+        want_jet = complex(base ** (-mpmath.mpf(3) / 2) / 5)
+    assert exp_inner_product(2, f, g) == pytest.approx(want, rel=1e-15)
+    assert exp_inner_product(2, g, f) == pytest.approx(want, rel=1e-15)
+    u, v = ExponentialVector(2, f), ExponentialVector(2, g)
+    assert jet_inner_product(apply_creator(2, h, u), v) == pytest.approx(want_jet, rel=1e-14)
+    assert jet_inner_product(v, apply_creator(2, h, u)) == pytest.approx(want_jet, rel=1e-14)
+    # where the long piece carries conj(f) f, as a base or as a direction, the
+    # value really does leave the float range
+    for left, right in ((u, u), (apply_creator(2, f, v), u)):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            jet_inner_product(left, right)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("digits", range(1, 19))
 def test_inner_product_near_the_bound_against_mpmath(n, digits):

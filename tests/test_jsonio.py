@@ -1,6 +1,8 @@
+import io
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,3 +130,51 @@ _FACTORS = st.tuples(
 def test_word_json_round_trip(word):
     _assert_round_trip(word, jsonio.encode_word, jsonio.decode_word,
                        same=lambda a, b: a.factors == b.factors)
+
+
+# -- the writer: the bytes json writes with indent=2, streamed -------------------
+
+_STRINGS = st.one_of(
+    # every code point, lone surrogates included (Cs is left out by default)
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(["", '"', "\\", '\\"\\', "\x00\x1f\x7f", "\u2028", "\xe9", "\U0001f600",
+                     "\ud800", "a\udfffb"]),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), _STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_STRINGS, inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_write_json_writes_what_json_writes_with_indent_2(obj):
+    out = io.StringIO()
+    jsonio.write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.0, (1,), {1: "a"}, [0.5], {"a": (1, 2)}, {"a": [[{"b": 1e3}]]}, [{"a": {2: None}}],
+     {"a": {True: 1}}],
+    ids=["float", "tuple", "int-key", "float-in-list", "tuple-in-dict", "deep-float",
+         "deep-int-key", "bool-key"],
+)
+def test_write_json_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        jsonio.write_json(obj, io.StringIO())
+
+
+def test_write_json_streams_a_large_list():
+    obj = {"t": "2", "count": 10**5, "samples": ["-0.12345678901234568"] * 10**5}
+    writes = []
+    jsonio.write_json(obj, SimpleNamespace(write=writes.append))
+    assert max(len(text) for text in writes) <= 1024
+    assert "".join(writes) == json.dumps(obj, indent=2)
