@@ -12,9 +12,7 @@ from .algebra import (
     WINFTY,
     AlgebraElement,
     GeneratorIndex,
-    StirlingTable,
     commutator,
-    creator_number_form,
     involution,
     normal_order_expansion,
     stirling_first,
@@ -35,8 +33,6 @@ from .fock import (
     GramReport,
     JetSum,
     JetVector,
-    G_eval,
-    Ghat_eval,
     apply_annihilator,
     apply_creator,
     apply_number,
@@ -51,7 +47,6 @@ from .mupoly import MU, MuPoly
 from .nogo import NoGoReport, nogo_report
 from .processes import (
     ClassicalityReport,
-    MgfNumericCheck,
     SecantDensity,
     SecantSampler,
     SplitCheckReport,
@@ -59,10 +54,7 @@ from .processes import (
     classical_check,
     complex_log_gamma,
     density_p,
-    density_q_scaled,
     mgf_eval,
-    mgf_numeric_check,
-    mgf_series,
     riccati_split,
     sample_X,
     scaled_density,
@@ -71,12 +63,9 @@ from .processes import (
 from .rewrite import (
     VacuumState,
     Word,
-    kernel_bruteforce,
     reduce_truncated,
     reduce_untruncated,
     reduce_untruncated_with_stats,
-    state_in_number_basis,
-    step_bound,
     vacuum_expectation,
 )
 from .scalars import ComplexRational

@@ -198,51 +198,23 @@ def order_constants(n: int):
 # -- Stirling numbers of the first kind and normal ordering -----------------
 
 
-class StirlingTable:
-    """Triangular table of signed Stirling numbers of the first kind.
-
-    Rows satisfy s[n+1][k] = s[n][k-1] - n*s[n][k] with s[0][0] = 1.
-    """
-
-    def __init__(self, n_max: int = 0):
-        self._rows = [[1]]
-        self._extend(n_max)
-
-    def _extend(self, n_max: int):
-        while len(self._rows) <= n_max:
-            n = len(self._rows) - 1
-            prev = self._rows[-1]
-            row = [0] * (n + 2)
-            for k in range(n + 2):
-                above = prev[k - 1] if k >= 1 else 0
-                right = prev[k] if k <= n else 0
-                row[k] = above - n * right
-            self._rows.append(row)
-
-    @property
-    def n_max(self) -> int:
-        return len(self._rows) - 1
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0 or k > n:
-            raise IndexRangeError(f"Stirling index (n={n}, k={k}) out of range")
-        if n > self.n_max:
-            raise IndexRangeError(f"Stirling table holds n <= {self.n_max}, got {n}")
-        return self._rows[n][k]
-
-
-_TABLE = StirlingTable(32)
-_TABLE_LOCK = threading.Lock()
+# Rows of the signed Stirling numbers of the first kind, grown on demand:
+# s[n+1][k] = s[n][k-1] - n*s[n][k] with s[0][0] = 1.  A row is appended
+# only once it is complete, so a reader never needs the lock.
+_ROWS = [[1]]
+_ROWS_LOCK = threading.Lock()
 
 
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k); cached."""
     if n < 0 or k < 0 or k > n:
         raise IndexRangeError(f"Stirling index (n={n}, k={k}) out of range")
-    if n > _TABLE.n_max:
-        with _TABLE_LOCK:
-            _TABLE._extend(n)
-    return _TABLE.value(n, k)
+    if n >= len(_ROWS):
+        with _ROWS_LOCK:
+            while len(_ROWS) <= n:
+                m, prev = len(_ROWS) - 1, _ROWS[-1]
+                _ROWS.append([above - m * right for above, right in zip([0] + prev, prev + [0])])
+    return _ROWS[n][k]
 
 
 def normal_order_expansion(n: int):
@@ -257,10 +229,3 @@ def normal_order_expansion(n: int):
     if n == 0:
         return [(0, 1)]
     return [(m, s) for m in range(n + 1) if (s := stirling_first(n, m)) != 0]
-
-
-def creator_number_form(n: int, k: int):
-    """B[n,k] = integral of f * (a+)^(n-k) (a+ a)^k: the pair (n-k, k)."""
-    if not (n >= k >= 0):
-        raise IndexRangeError(f"creator/number form needs n >= k >= 0, got ({n}, {k})")
-    return (n - k, k)

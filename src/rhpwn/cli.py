@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
 
     p = add("sample", "draw from the base law (one sample per line)", _cmd_sample,
-            lambda o: [(line,) for line in o["samples"]], fmt="csv")
+            lambda o: ((line,) for line in o["samples"]), fmt="csv")
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

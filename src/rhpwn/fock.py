@@ -41,16 +41,17 @@ from .mupoly import MU, MuPoly
 from .scalars import QC_ZERO, ComplexRational
 from .stepfn import StepFunction, common_refinement
 
-# -- closed-form kernels and generating functions ---------------------------
+# -- closed-form kernels -----------------------------------------------------
 
 
 def kernel_values(n: int, k: int):
     """Squared norm pi_{n,k} of (B[n,0])^k Phi and h_{n,k} = pi_{n,k}/k!.
 
     pi_{n,k}(mu) = k! n^k prod_{i<k} (mu + n^2(n-1)/2 * i), exact.  h_{n,k}
-    is also the k-th derivative of G_n at u = 0: for n >= 2 the rising
-    factorial of the binomial series gives prod_{i<k} (n mu + c i) with
-    c = n^3(n-1)/2, and for n = 1 both are mu^k.
+    is also the k-th derivative at u = 0 of the generating function
+    G_n(u) = (1 - c u)^(-mu/half), c = n^3(n-1)/2: the rising factorial of
+    the binomial series gives prod_{i<k} (n mu + c i).  For n = 1,
+    G_1 = exp(mu u) and both are mu^k.
     """
     if n < 1 or k < 0:
         raise DomainError(f"kernel indices need n >= 1, k >= 0, got ({n}, {k})")
@@ -61,48 +62,16 @@ def kernel_values(n: int, k: int):
     return h.scaled(math.factorial(k)), h
 
 
-def G_eval(n: int, u: complex, mu: float) -> complex:
-    """Exponential-vector generating function G_n(u, mu)."""
-    u = complex(u)
-    if n == 1:
-        return cmath.exp(u * mu)
-    half, c = order_constants(n)
-    if abs(c * u) >= 1:
-        raise DomainError(
-            f"G_{n} needs |{c}*u| < 1 for the principal log, got u={u}"
-        )
-    return cmath.exp(-(mu / half) * cmath.log(1 - c * u))
-
-
-def Ghat_eval(n: int, u: complex) -> complex:
-    """Exponent density: G_n = exp(mu * Ghat_n(u))."""
-    u = complex(u)
-    if n == 1:
-        return u
-    half, c = order_constants(n)
-    if abs(c * u) >= 1:
-        raise DomainError(
-            f"Ghat_{n} needs |{c}*u| < 1 for the principal log, got u={u}"
-        )
-    return -(1 / half) * cmath.log(1 - c * u)
-
-
 # -- admissibility -----------------------------------------------------------
 
 
-def admissibility_bound_squared(n: int):
-    """Strict pointwise bound |f|^2 < 2/(n^3(n-1)); None means unbounded (n=1)."""
+def require_admissible(n: int, f: StepFunction):
+    """Strict pointwise bound |f|^2 < 2/(n^3(n-1)); none for n = 1."""
     if n < 1:
         raise DomainError(f"Fock order must be >= 1, got {n}")
     if n == 1:
-        return None
-    return Fraction(1, order_constants(n)[1])
-
-
-def require_admissible(n: int, f: StepFunction):
-    bound = admissibility_bound_squared(n)
-    if bound is None:
         return
+    bound = Fraction(1, order_constants(n)[1])
     for a, b, c in f.pieces:
         if c.abs_squared() >= bound:
             raise DomainError(

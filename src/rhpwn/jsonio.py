@@ -147,29 +147,11 @@ def decode_word(value, pointer="") -> Word:
     return Word(factors)
 
 
-def encode_word(word: Word) -> list:
-    out = []
-    for idx, fn in word:
-        entry = {"n": idx.n, "k": idx.k}
-        entry["function"] = "chi_I" if fn == CHI else encode_step_function(fn)
-        out.append(entry)
-    return out
-
-
 # -- mu polynomials ---------------------------------------------------------------
 
 
 def encode_mu_poly(poly: MuPoly) -> dict:
     return {"mu_poly": poly.to_strings()}
-
-
-def decode_mu_poly(value, pointer="") -> MuPoly:
-    obj = _require_object(value, pointer, required=("mu_poly",))
-    items = _require_list(obj["mu_poly"], f"{pointer}/mu_poly")
-    try:
-        return MuPoly.from_strings(items)
-    except ValueError as exc:
-        raise SchemaError(f"{pointer}/mu_poly", str(exc)) from exc
 
 
 # -- writing ----------------------------------------------------------------------

@@ -214,12 +214,6 @@ class MuPoly:
             acc = acc * mu + c
         return acc
 
-    def eval_float(self, mu) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * mu + c.to_complex()
-        return acc
-
     # -- protocol --------------------------------------------------------
 
     def __eq__(self, other):
@@ -258,10 +252,6 @@ class MuPoly:
     def to_strings(self) -> list:
         """Coefficient strings c0..cd, exact ("p/q" or "a/b+c/di")."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items) -> "MuPoly":
-        return cls(tuple(ComplexRational.parse(str(s)) for s in items))
 
 
 # Slot setters: `__setattr__` refuses every write from outside the module.

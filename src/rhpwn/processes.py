@@ -34,7 +34,7 @@ from .errors import DomainError, OutOfScopeError
 from .mupoly import MU, MuPoly
 from .rewrite import Word, reduce_truncated
 from .scalars import ComplexRational, parse_fraction
-from .series import series_exp, series_log, series_mul, series_scale
+from .series import series_exp, series_mul, series_scale
 
 
 # -- splitting formula and Riccati series -------------------------------------
@@ -42,21 +42,12 @@ from .series import series_exp, series_log, series_mul, series_scale
 
 @dataclass(frozen=True)
 class SplittingSolution:
-    """Series and closed forms for the splitting pair (V, W)."""
+    """Exact series for the splitting pair (V, W)."""
 
     n: int
     order: int
     v_series: tuple  # MuPoly (constant in mu), coefficient of s^j
     w_series: tuple  # MuPoly, degree <= 1 in mu
-
-    def v_eval(self, s: float) -> float:
-        if self.n == 1:
-            return float(s)
-        _, a = _inside_pole(self.n, s)
-        return math.tan(a * s) / a
-
-    def w_eval(self, s: float, mu: float) -> float:
-        return _w_closed_form(self.n, s, mu)
 
 
 def _inside_pole(n: int, s: float):
@@ -195,33 +186,6 @@ def mgf_eval(n: int, s: float, t: float) -> float:
     return math.exp(w)
 
 
-def mgf_series(n: int, order: int):
-    """Taylor coefficients of the MGF in s, exact, with t as the symbol.
-
-    Built from the cosine series and series log/exp only, so it is an
-    independent route from both the Riccati recursion and the rewrite
-    engine.  Returns MuPoly coefficients with mu standing for t.
-    """
-    if n < 1:
-        raise DomainError(f"Fock order must be >= 1, got {n}")
-    if n == 1:
-        half_sq = [MuPoly.zero(), MuPoly.zero(), MU.scaled(Fraction(1, 2))]
-        return series_exp(half_sq, order)
-    beta = order_constants(n)[1]
-    cos_series = []
-    for j in range(order + 1):
-        if j % 2 == 0:
-            m = j // 2
-            coeff = (-1) ** m * beta**m * Fraction(1, math.factorial(j))
-            cos_series.append(MuPoly.constant(coeff))
-        else:
-            cos_series.append(MuPoly.zero())
-    log_cos = series_log(cos_series, order)
-    scale = -Fraction(n, beta)
-    w = [MU * c.scaled(scale) for c in log_cos]
-    return series_exp(w, order)
-
-
 # -- complex log-Gamma (Lanczos) ------------------------------------------------
 
 _LANCZOS_G = 607.0 / 128.0
@@ -295,11 +259,6 @@ def scaled_density(n: int, t: float):
     return lambda y: dens(y / sigma) / sigma
 
 
-def density_q_scaled(n: int, t: float, y: float) -> float:
-    """One point of `scaled_density(n, t)`."""
-    return scaled_density(n, t)(y)
-
-
 # Largest t the density accepts.  The rounding error of log Gamma(t), which
 # grows like t log t, becomes relative error in p_t: against mpmath at 60
 # digits it stays below 1e-10 for t <= 1e4 (4e-11 at worst), and reaches
@@ -359,27 +318,6 @@ class SecantDensity:
         raise DomainError(f"tail cutoff for eps={eps}, weight={weight} not found")
 
 
-@dataclass(frozen=True)
-class MgfNumericCheck:
-    numeric: float
-    closed_form: float
-    rel_err: float
-
-
-def mgf_numeric_check(t: float, s: float) -> MgfNumericCheck:
-    """Quadrature of integral e^(s x) p_t(x) dx against (sec s)^t; p_t is
-    even, so `quad` integrates 2 cosh(s x) p_t(x) over [0, cutoff]."""
-    s = float(s)
-    if abs(s) >= math.pi / 2:
-        raise DomainError(f"MGF argument needs |s| < pi/2, got {s}")
-    dens = SecantDensity(t)
-    cutoff = dens.tail_cutoff(1e-16, weight=abs(s))
-    numeric = math.fsum(quad(lambda x: 2 * math.cosh(s * x) * dens(x), 0.0, cutoff)[1])
-    closed = math.exp(-t * math.log(math.cos(s)))
-    rel = abs(numeric - closed) / abs(closed)
-    return MgfNumericCheck(numeric=numeric, closed_form=closed, rel_err=rel)
-
-
 # -- quadrature and sampling ------------------------------------------------------
 
 
@@ -433,9 +371,6 @@ class SecantSampler:
         self.t = float(t)
         self.grid = grid
         self.cdf = cdf
-
-    def tabulated_cdf(self, x):
-        return np.interp(x, self.grid, self.cdf)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         _check_count(count)

@@ -209,18 +209,6 @@ def reduce_untruncated(word: Word) -> VacuumState:
     return reduce_untruncated_with_stats(word)[0]
 
 
-def step_bound(word: Word) -> int:
-    """Coarse rewrite-step bound: L * (L+1)^(sum of (k_i + 1)) + 1.
-
-    Applying one factor with annihilation degree k to a monomial of j
-    creators costs at most (j+1)^(k+1) recursive steps, and monomial length
-    never exceeds the word length.
-    """
-    length = len(word)
-    exponent = sum(idx.k + 1 for idx, _ in word)
-    return length * (length + 1) ** exponent + 1
-
-
 def vacuum_expectation(word: Word) -> MuPoly:
     """<Phi, word Phi>: the Phi coefficient of the normal form.
 
@@ -277,29 +265,3 @@ def reduce_truncated(n: int, word: Word, state=((0, MuPoly.one()),)):
         if not state:
             break
     return sorted(state.items())
-
-
-def kernel_bruteforce(n: int, k: int) -> MuPoly:
-    """<(B[n,0])^k Phi, (B[n,0])^k Phi> by k truncated annihilations."""
-    if n < 1 or k < 0:
-        raise UnsupportedGeneratorError(f"kernel needs n >= 1, k >= 0, got ({n}, {k})")
-    word = Word.from_indices([(0, n)] * k + [(n, 0)] * k)
-    for basis_k, coeff in reduce_truncated(n, word):
-        if basis_k == 0:
-            return coeff
-    return MuPoly.zero()
-
-
-def state_in_number_basis(n: int, state: VacuumState):
-    """Rewrite an untruncated result in the {(B[n,0])^k Phi} basis.
-
-    Raises ValueError if some monomial is not a pure power of B[n,0](chi_I);
-    for orders n <= 2 that never happens for words over the order-n set.
-    """
-    out = {}
-    for mono, coeff in state.terms.items():
-        for m, fn in mono:
-            if m != n or fn != CHI:
-                raise ValueError(f"monomial {mono} is not a power of B[{n},0](chi_I)")
-        out[len(mono)] = out.get(len(mono), MuPoly.zero()) + coeff
-    return sorted((k, c) for k, c in out.items() if not c.is_zero)

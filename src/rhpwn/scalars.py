@@ -50,7 +50,7 @@ class ComplexRational:
     arithmetic with int and Fraction coerces the other operand.  Parts are
     exactly `int` or `Fraction` (no `bool`), stored as given: `str` prints each
     as "p" or "p/q", and an `int` part and the equal `Fraction` compare, hash
-    and print alike.  Strings, floats and `complex` go through `parse` or `coerce`.
+    and print alike.  Floats and `complex` go through `coerce`.
     """
 
     __slots__ = ("re", "im")
@@ -75,28 +75,6 @@ class ComplexRational:
         if isinstance(value, (float, complex)):
             return cls(parse_fraction(value.real), parse_fraction(value.imag))
         raise TypeError(f"cannot coerce {value!r} to ComplexRational")
-
-    @classmethod
-    def parse(cls, s: str) -> "ComplexRational":
-        """Parse "p/q", "a/b+c/di", "a/b-c/di", or "c/di"."""
-        s = s.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar string")
-        if not s.endswith("i"):
-            return cls(parse_fraction(s))
-        body = s[:-1]
-        # Split at the first sign that is not the leading one; real and
-        # imaginary parts are plain p/q tokens so any interior +/- separates.
-        for pos in range(1, len(body)):
-            if body[pos] in "+-":
-                re_part = body[:pos]
-                im_part = body[pos:]
-                if im_part in ("+", "-"):
-                    im_part += "1"
-                return cls(parse_fraction(re_part), parse_fraction(im_part))
-        if body in ("", "+", "-"):
-            body += "1"
-        return cls(0, parse_fraction(body))
 
     # -- ring operations ----------------------------------------------
 

@@ -20,7 +20,6 @@ engine produce exact mu-polynomials for single-interval words.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .errors import TagMismatchError
 from .mupoly import MuPoly
@@ -117,20 +116,6 @@ class StepFunction:
 
     def integral_mu(self) -> MuPoly:
         return MuPoly.constant(self.integral())
-
-    def support_measure(self) -> Fraction:
-        return sum((b - a for a, b, _ in self.pieces), Fraction(0))
-
-    def max_abs_squared(self) -> Fraction:
-        """sup_t |f(t)|^2, exact; 0 for the zero function."""
-        return max((c.abs_squared() for _, _, c in self.pieces), default=Fraction(0))
-
-    def value_at(self, t) -> ComplexRational:
-        t = parse_fraction(t)
-        for a, b, c in self.pieces:
-            if a <= t < b:
-                return c
-        return ComplexRational(0)
 
     # -- protocol --------------------------------------------------------
 

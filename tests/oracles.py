@@ -1,0 +1,178 @@
+"""Oracles the tests check the engine with, kept out of the package: routes
+to its values that it does not take, point evaluation and output readers."""
+
+import cmath
+import math
+from collections import namedtuple
+from fractions import Fraction
+
+from rhpwn import jsonio
+from rhpwn.algebra import order_constants
+from rhpwn.errors import DomainError, SchemaError, UnsupportedGeneratorError
+from rhpwn.mupoly import MU, MuPoly
+from rhpwn.processes import SecantDensity, _inside_pole, _w_closed_form, quad
+from rhpwn.rewrite import Word, reduce_truncated
+from rhpwn.scalars import ComplexRational, parse_fraction
+from rhpwn.series import series_exp, series_log
+from rhpwn.stepfn import CHI
+
+
+def G_eval(n: int, u: complex, mu: float) -> complex:
+    """Exponential-vector generating function G_n(u, mu)."""
+    u = complex(u)
+    if n == 1:
+        return cmath.exp(u * mu)
+    half, c = order_constants(n)
+    if abs(c * u) >= 1:
+        raise DomainError(f"G_{n} needs |{c}*u| < 1 for the principal log, got u={u}")
+    return cmath.exp(-(mu / half) * cmath.log(1 - c * u))
+
+
+def Ghat_eval(n: int, u: complex) -> complex:
+    """Exponent density: G_n = exp(mu * Ghat_n(u))."""
+    u = complex(u)
+    if n == 1:
+        return u
+    half, c = order_constants(n)
+    if abs(c * u) >= 1:
+        raise DomainError(f"Ghat_{n} needs |{c}*u| < 1 for the principal log, got u={u}")
+    return -(1 / half) * cmath.log(1 - c * u)
+
+
+def v_eval(n: int, s: float) -> float:
+    if n == 1:
+        return float(s)
+    _, a = _inside_pole(n, s)
+    return math.tan(a * s) / a
+
+
+def w_eval(n: int, s: float, mu: float) -> float:
+    return _w_closed_form(n, s, mu)
+
+
+def mgf_series(n: int, order: int):
+    """Exact Taylor coefficients in s of the MGF, mu standing for t, from the
+    cosine series and series log/exp: not the Riccati or rewrite route."""
+    if n < 1:
+        raise DomainError(f"Fock order must be >= 1, got {n}")
+    if n == 1:
+        half_sq = [MuPoly.zero(), MuPoly.zero(), MU.scaled(Fraction(1, 2))]
+        return series_exp(half_sq, order)
+    beta = order_constants(n)[1]
+    cos_series = []
+    for j in range(order + 1):
+        if j % 2 == 0:
+            m = j // 2
+            coeff = (-1) ** m * beta**m * Fraction(1, math.factorial(j))
+            cos_series.append(MuPoly.constant(coeff))
+        else:
+            cos_series.append(MuPoly.zero())
+    log_cos = series_log(cos_series, order)
+    scale = -Fraction(n, beta)
+    w = [MU * c.scaled(scale) for c in log_cos]
+    return series_exp(w, order)
+
+
+MgfNumericCheck = namedtuple("MgfNumericCheck", "numeric closed_form rel_err")
+
+
+def mgf_numeric_check(t: float, s: float) -> MgfNumericCheck:
+    """MGF of p_t by `quad` of 2 cosh(s x) p_t(x) on [0, cutoff], against (sec s)^t."""
+    s = float(s)
+    if abs(s) >= math.pi / 2:
+        raise DomainError(f"MGF argument needs |s| < pi/2, got {s}")
+    dens = SecantDensity(t)
+    cutoff = dens.tail_cutoff(1e-16, weight=abs(s))
+    numeric = math.fsum(quad(lambda x: 2 * math.cosh(s * x) * dens(x), 0.0, cutoff)[1])
+    closed = math.exp(-t * math.log(math.cos(s)))
+    rel = abs(numeric - closed) / abs(closed)
+    return MgfNumericCheck(numeric=numeric, closed_form=closed, rel_err=rel)
+
+
+def kernel_bruteforce(n: int, k: int) -> MuPoly:
+    """<(B[n,0])^k Phi, (B[n,0])^k Phi> by k truncated annihilations."""
+    if n < 1 or k < 0:
+        raise UnsupportedGeneratorError(f"kernel needs n >= 1, k >= 0, got ({n}, {k})")
+    word = Word.from_indices([(0, n)] * k + [(n, 0)] * k)
+    for basis_k, coeff in reduce_truncated(n, word):
+        if basis_k == 0:
+            return coeff
+    return MuPoly.zero()
+
+
+def state_in_number_basis(n: int, state):
+    """An untruncated result in the {(B[n,0])^k Phi} basis; ValueError if a
+    monomial is not a power of B[n,0](chi_I), never for n <= 2."""
+    out = {}
+    for mono, coeff in state.terms.items():
+        for m, fn in mono:
+            if m != n or fn != CHI:
+                raise ValueError(f"monomial {mono} is not a power of B[{n},0](chi_I)")
+        out[len(mono)] = out.get(len(mono), MuPoly.zero()) + coeff
+    return sorted((k, c) for k, c in out.items() if not c.is_zero)
+
+
+def step_bound(word: Word) -> int:
+    """Rewrite-step bound L (L+1)^(sum of (k_i + 1)) + 1: a factor of degree k
+    on j <= L creators costs at most (j+1)^(k+1) steps."""
+    length = len(word)
+    exponent = sum(idx.k + 1 for idx, _ in word)
+    return length * (length + 1) ** exponent + 1
+
+
+def value_at(f, t) -> ComplexRational:
+    t = parse_fraction(t)
+    for a, b, c in f.pieces:
+        if a <= t < b:
+            return c
+    return ComplexRational(0)
+
+
+def eval_float(p: MuPoly, mu) -> complex:
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * mu + c.to_complex()
+    return acc
+
+
+def parse_complex_rational(s: str) -> ComplexRational:
+    """Parse "p/q", "a/b+c/di", "a/b-c/di", or "c/di"."""
+    s = s.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar string")
+    if not s.endswith("i"):
+        return ComplexRational(parse_fraction(s))
+    body = s[:-1]
+    # Parts are plain p/q tokens, so the first sign past the lead splits them.
+    for pos in range(1, len(body)):
+        if body[pos] in "+-":
+            re_part = body[:pos]
+            im_part = body[pos:]
+            if im_part in ("+", "-"):
+                im_part += "1"
+            return ComplexRational(parse_fraction(re_part), parse_fraction(im_part))
+    if body in ("", "+", "-"):
+        body += "1"
+    return ComplexRational(0, parse_fraction(body))
+
+
+def mu_poly_from_strings(items) -> MuPoly:
+    return MuPoly(tuple(parse_complex_rational(str(s)) for s in items))
+
+
+def decode_mu_poly(value, pointer="") -> MuPoly:
+    obj = jsonio._require_object(value, pointer, required=("mu_poly",))
+    items = jsonio._require_list(obj["mu_poly"], f"{pointer}/mu_poly")
+    try:
+        return mu_poly_from_strings(items)
+    except ValueError as exc:
+        raise SchemaError(f"{pointer}/mu_poly", str(exc)) from exc
+
+
+def encode_word(word: Word) -> list:
+    out = []
+    for idx, fn in word:
+        entry = {"n": idx.n, "k": idx.k}
+        entry["function"] = "chi_I" if fn == CHI else jsonio.encode_step_function(fn)
+        out.append(entry)
+    return out

@@ -12,9 +12,7 @@ from rhpwn.algebra import (
     WINFTY,
     AlgebraElement,
     GeneratorIndex,
-    StirlingTable,
     commutator,
-    creator_number_form,
     involution,
     normal_order_expansion,
     order_constants,
@@ -133,13 +131,11 @@ def test_stirling_values_and_errors():
     assert all(stirling_first(n, 0) == 0 for n in range(1, 8))
     assert stirling_first(3, 2) == -3
     assert stirling_first(3, 1) == 2
-    assert stirling_first(40, 40) == 1  # beyond the prebuilt table
+    assert stirling_first(40, 40) == 1
     with pytest.raises(IndexRangeError):
         stirling_first(2, 3)
     with pytest.raises(IndexRangeError):
         stirling_first(-1, 0)
-    with pytest.raises(IndexRangeError):
-        StirlingTable(5).value(6, 0)
 
 
 def test_stirling_falling_factorial_identity():
@@ -167,13 +163,6 @@ def test_normal_order_expansion():
         normal_order_expansion(-1)
 
 
-def test_creator_number_form():
-    assert creator_number_form(5, 2) == (3, 2)
-    assert creator_number_form(3, 3) == (0, 3)
-    with pytest.raises(IndexRangeError):
-        creator_number_form(1, 2)
-
-
 def test_order_constants_closed_forms():
     for n in range(1, 9):
         half, c = order_constants(n)
@@ -193,9 +182,9 @@ def test_stirling_cache_grows_safely_under_threads(monkeypatch):
 
     import rhpwn.algebra as alg
 
-    # a small table so every worker races to extend it; later tests get the
-    # module's own table back
-    monkeypatch.setattr(alg, "_TABLE", StirlingTable(4))
+    # row 0 only, so every worker races to extend the table; later tests get
+    # the module's own rows back
+    monkeypatch.setattr(alg, "_ROWS", [[1]])
     rows = range(5, 60)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda n: stirling_first(n, n - 1), rows))

@@ -15,11 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_element
+from oracles import mu_poly_from_strings
 from rhpwn import cli, jsonio
 from rhpwn.algebra import RHPWN, WINFTY
 from rhpwn.cli import main
 from rhpwn.errors import SchemaError
-from rhpwn.mupoly import MuPoly
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -81,7 +81,7 @@ def test_kernel_output():
     code, text = run_cli(["kernel", "--n", "2", "--k", "2"])
     obj = json.loads(text)
     assert obj["pi"] == ["0", "16", "8"]
-    assert MuPoly.from_strings(obj["h"]).to_strings() == ["0", "8", "4"]
+    assert mu_poly_from_strings(obj["h"]).to_strings() == ["0", "8", "4"]
 
 
 def test_nogo_boundary():
@@ -90,7 +90,7 @@ def test_nogo_boundary():
     assert code == 0
     assert obj["verdict"] == "PSD"
     assert obj["threshold"] == "18"
-    assert MuPoly.from_strings(obj["d2"]).eval_exact(18).is_zero
+    assert mu_poly_from_strings(obj["d2"]).eval_exact(18).is_zero
     code, text = run_cli(["nogo", "--n", "3", "--mu", "17"])
     assert json.loads(text)["verdict"] == "NOT_PSD"
 
@@ -187,9 +187,9 @@ def test_density_grid_and_scaled():
     assert float(rows[0]["p"]) == pytest.approx(0.5, rel=1e-10)  # p_1(0) = 1/2
     code, text = run_cli(["density", "--t", "1", "--n", "2", "--x-grid", "0:1:1"])
     rows = json.loads(text)["rows"]
-    from rhpwn.processes import density_q_scaled
+    from rhpwn.processes import scaled_density
 
-    assert float(rows[1]["p"]) == pytest.approx(density_q_scaled(2, 1.0, 1.0), rel=1e-12)
+    assert float(rows[1]["p"]) == pytest.approx(scaled_density(2, 1.0)(1.0), rel=1e-12)
 
 
 def test_sample_deterministic_lines():
@@ -201,6 +201,32 @@ def test_sample_deterministic_lines():
     code, as_json = run_cli(["sample", "--t", "2", "--count", "50", "--seed", "7", "--format", "json"])
     obj = json.loads(as_json)
     assert obj["samples"] == first.strip().splitlines()
+
+
+def test_sample_csv_holds_no_second_copy_of_the_samples(monkeypatch):
+    # The CSV rows are generated one at a time, so the default format peaks
+    # no higher than --format json, which streams the same strings.  The
+    # draws are made once, before tracing, and served to both runs.
+    import tracemalloc
+
+    from rhpwn import processes
+
+    draws = processes.sample_X(2.0, 200000, 1)
+    monkeypatch.setattr(processes, "sample_X", lambda t, count, seed: draws)
+
+    def peak_mb(fmt):
+        argv = ["sample", "--t", "2", "--count", "200000", "--seed", "1", "--format", fmt]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr("sys.stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+    csv_peak, json_peak = peak_mb("csv"), peak_mb("json")
+    assert csv_peak <= json_peak + 1, (csv_peak, json_peak)
 
 
 def test_classical_check_cli(monkeypatch):

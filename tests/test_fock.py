@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from conftest import admissible_scale, mupoly_to_sympy, rand_admissible, rand_step_function
+from oracles import G_eval, Ghat_eval, kernel_bruteforce
 from rhpwn.errors import (
     DomainError,
     PrescriptionError,
@@ -16,8 +17,6 @@ from rhpwn.errors import (
 )
 from rhpwn.fock import (
     ExponentialVector,
-    G_eval,
-    Ghat_eval,
     JetSum,
     JetVector,
     apply_annihilator,
@@ -32,7 +31,6 @@ from rhpwn.fock import (
 )
 from rhpwn.algebra import order_constants
 from rhpwn.mupoly import MU, MuPoly
-from rhpwn.rewrite import kernel_bruteforce
 from rhpwn.scalars import ComplexRational
 from rhpwn.stepfn import StepFunction, common_refinement
 

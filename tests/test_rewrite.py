@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import mupoly_to_sympy, rand_coeff, rand_step_function
+from oracles import kernel_bruteforce, state_in_number_basis, step_bound
 from rhpwn.errors import UnsupportedGeneratorError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import (
     VacuumState,
     Word,
-    kernel_bruteforce,
     reduce_truncated,
     reduce_untruncated,
     reduce_untruncated_with_stats,
-    state_in_number_basis,
-    step_bound,
     vacuum_expectation,
     _insert_creator,
 )
@@ -103,10 +103,16 @@ def test_termination_step_bound():
 
 
 class UnmemoizedReducer:
-    """The untruncated recursion without a memo: every sub-reduction is a step."""
+    """The untruncated recursion without a memo: every sub-reduction is a step.
+
+    `mixed_firings` counts the applications of the mixed vacuum rule
+    B[n,k] Phi = B[n-k,0] Phi with k >= 1 and n - k >= 2, the rule that is
+    not compatible with the involution.
+    """
 
     def __init__(self):
         self.steps = 0
+        self.mixed_firings = 0
 
     def apply_generator(self, n, k, fn, mono):
         self.steps += 1
@@ -121,6 +127,7 @@ class UnmemoizedReducer:
                 return {}
             if n == k:
                 return {(): fn.integral_mu().scaled(Fraction(1, n + 1))}
+            self.mixed_firings += n - k >= 2
             return {((n - k, fn),): MuPoly.one()}
         m, g = mono[-1]
         rest = mono[:-1]
@@ -218,6 +225,36 @@ def test_each_product_of_test_functions_is_computed_once(monkeypatch):
 )
 def test_vacuum_functional_is_hermitian():
     w = word((2, 3), (1, 2), (3, 1))
+    assert vacuum_expectation(w) == vacuum_expectation(w.adjoint()).conjugate()
+
+
+def mixed_firings(w):
+    """Firings of the mixed rule n - k >= 2 in the reduction of w, and its state."""
+    reducer = UnmemoizedReducer()
+    state = reducer.reduce(w)
+    return reducer.mixed_firings, state
+
+
+def test_mixed_rule_firings_are_counted():
+    assert mixed_firings(word((3, 1)))[0] == 1
+    assert mixed_firings(word((2, 1)))[0] == 0  # n - k = 1 is consistent
+    assert mixed_firings(word((0, 3), (3, 1)))[0] == 1
+    defect = word((2, 3), (1, 2), (3, 1))
+    assert mixed_firings(defect)[0] > 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=5, max_size=6))
+def test_words_firing_no_mixed_rule_are_hermitian(indices):
+    # Past length 4: where neither the word nor its adjoint fires
+    # B[n,k] Phi = B[n-k,0] Phi with n - k >= 2, <Phi, w Phi> is the conjugate
+    # of <Phi, w* Phi>.
+    w = word(*indices)
+    fired, state = mixed_firings(w)
+    fired_adjoint, state_adjoint = mixed_firings(w.adjoint())
+    assume(fired == fired_adjoint == 0)
+    assert state == reduce_untruncated(w)
+    assert state_adjoint == reduce_untruncated(w.adjoint())
     assert vacuum_expectation(w) == vacuum_expectation(w.adjoint()).conjugate()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COEFFS, RATIONALS, SCALARS
+from oracles import eval_float, mu_poly_from_strings, parse_complex_rational
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.scalars import ComplexRational, parse_fraction
 
@@ -60,7 +61,7 @@ def test_parse_fraction_caps_the_decimal_exponent():
 def test_complex_rational_parts_go_through_parse_fraction():
     for text in ("1/0", "1+1/0i", "nan", "1e4301i"):
         with pytest.raises(ValueError):
-            ComplexRational.parse(text)
+            parse_complex_rational(text)
     with pytest.raises(ValueError):
         ComplexRational.coerce(complex(1, float("inf")))
 
@@ -82,9 +83,9 @@ def test_complex_rational_parse_roundtrip():
             Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
             Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
         )
-        assert ComplexRational.parse(str(c)) == c
-    assert ComplexRational.parse("1/2i") == ComplexRational(0, Fraction(1, 2))
-    assert ComplexRational.parse("-3/4-1/2i") == ComplexRational(
+        assert parse_complex_rational(str(c)) == c
+    assert parse_complex_rational("1/2i") == ComplexRational(0, Fraction(1, 2))
+    assert parse_complex_rational("-3/4-1/2i") == ComplexRational(
         Fraction(-3, 4), Fraction(-1, 2)
     )
 
@@ -102,7 +103,7 @@ def test_mupoly_ring_operations():
 def test_mupoly_canonical_and_strings():
     p = MuPoly([1, 0, Fraction(0)])
     assert p.degree == 0
-    q = MuPoly.from_strings(["0", "16", "8"])
+    q = mu_poly_from_strings(["0", "16", "8"])
     assert q == MU.scaled(16) + (MU * MU).scaled(8)
     assert q.to_strings() == ["0", "16", "8"]
     assert str(q) == "8*mu^2 + 16*mu"
@@ -111,7 +112,7 @@ def test_mupoly_canonical_and_strings():
 def test_mupoly_conjugate_and_eval():
     p = MuPoly([ComplexRational(1, 1), ComplexRational(0, -2)])
     assert p.conjugate() == MuPoly([ComplexRational(1, -1), ComplexRational(0, 2)])
-    assert p.eval_float(2.0) == pytest.approx(complex(1, -3))
+    assert eval_float(p, 2.0) == pytest.approx(complex(1, -3))
 
 
 # -- ring laws with parts drawn as a mix of int and Fraction (conftest.SCALARS) --
@@ -128,7 +129,7 @@ def test_constructor_keeps_rationals_and_refuses_the_rest():
     for bad in ("2", False):
         with pytest.raises(TypeError):
             ComplexRational(1, bad)
-    assert ComplexRational.parse("1/2") == ComplexRational(Fraction(1, 2))
+    assert parse_complex_rational("1/2") == ComplexRational(Fraction(1, 2))
     assert ComplexRational.coerce(0.5) == ComplexRational(Fraction(1, 2))
     assert ComplexRational.coerce(1j) == ComplexRational(0, 1)
 
@@ -153,7 +154,7 @@ def test_complex_rational_ring_laws(a, b, c):
     as_fractions = ComplexRational(Fraction(a.re), Fraction(a.im))
     assert a == as_fractions
     assert hash(a) == hash(as_fractions) and str(a) == str(as_fractions)
-    assert ComplexRational.parse(str(a)) == a
+    assert parse_complex_rational(str(a)) == a
     if not b.is_zero:
         q = a / b
         assert type(q.re) is Fraction and type(q.im) is Fraction
@@ -167,8 +168,8 @@ def test_mupoly_ring_laws(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert (p - p).is_zero and p * MuPoly.one() == p
-    assert MuPoly.from_strings(p.to_strings()) == p
-    assert hash(MuPoly.from_strings(p.to_strings())) == hash(p)
+    assert mu_poly_from_strings(p.to_strings()) == p
+    assert hash(mu_poly_from_strings(p.to_strings())) == hash(p)
 
 
 # -- MuPoly against the dense ComplexRational-coefficient reference ------------
@@ -266,7 +267,7 @@ def _assert_matches(p, ref):
     assert all(type(x) is part_type for c in p.coeffs for x in (c.re, c.im))
     assert str(p) == str(ref)
     assert p.to_strings() == [str(c) for c in ref.coeffs]
-    assert MuPoly.from_strings(p.to_strings()) == p
+    assert mu_poly_from_strings(p.to_strings()) == p
     assert hash(p) == hash(ref.coeffs)
     assert p.degree == len(ref.coeffs) - 1 and p.is_zero == (not ref.coeffs)
 
@@ -306,4 +307,4 @@ def test_mupoly_matches_dense_reference(cs, ds, c, k, mu):
     assert (p == c) == (rp.coeffs == rc.coeffs)
     value = p.eval_exact(mu)
     assert value == rp.eval_exact(mu) and str(value) == str(rp.eval_exact(mu))
-    assert p.eval_float(0.3) == rp.eval_float(0.3)
+    assert eval_float(p, 0.3) == rp.eval_float(0.3)
