@@ -39,3 +39,11 @@ class SchemaError(RhpwnError, ValueError):
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
+
+
+class EmptyIntervalError(RhpwnError, ValueError):
+    """A step-function piece [a, b) with a >= b; `interval` is its text."""
+
+    def __init__(self, interval: str):
+        self.interval = interval
+        super().__init__(f"empty or reversed interval {interval}")

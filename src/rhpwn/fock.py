@@ -38,8 +38,8 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .mupoly import MU, MuPoly
-from .scalars import QC_ZERO, ComplexRational
-from .stepfn import StepFunction, common_refinement
+from .scalars import ComplexRational, gaussian_sum
+from .stepfn import ZERO, StepFunction, common_refinement
 
 # -- closed-form kernels -----------------------------------------------------
 
@@ -71,12 +71,13 @@ def require_admissible(n: int, f: StepFunction):
         raise DomainError(f"Fock order must be >= 1, got {n}")
     if n == 1:
         return
-    bound = Fraction(1, order_constants(n)[1])
-    for a, b, c in f.pieces:
-        if c.abs_squared() >= bound:
+    c = order_constants(n)[1]
+    for i, (_, _, (re, im, den)) in enumerate(f.rows):
+        if c * (re * re + im * im) >= den * den:
+            a, b, coeff = f.pieces[i]
             raise DomainError(
-                f"piece [{a},{b}) with |coeff|^2 = {c.abs_squared()} violates the "
-                f"order-{n} bound |f|^2 < {bound}"
+                f"piece [{a},{b}) with |coeff|^2 = {coeff.abs_squared()} violates the "
+                f"order-{n} bound |f|^2 < {Fraction(1, c)}"
             )
 
 
@@ -284,24 +285,32 @@ class _MultiDual:
 CANCELLATION_LIMIT = 1 / 16
 
 
-def _log_base(c: int, w: ComplexRational) -> complex:
-    """log of the log kernel's base 1 - c w, with w = conj(f) g on one piece.
+def _log_base(c: int, w: tuple) -> complex:
+    """log of the log kernel's base 1 - c w, with w = conj(f) g on one piece
+    as ints (re, im, den).
 
     Where the float base cancelled it is recomputed from the exact w and
     rounded once; where even that rounds to 0 or a subnormal, log|base| and
     arg(base) are taken from its integer parts.
     """
-    base = 1 - c * w.to_complex()
+    re, im, den = w
+    base = 1 - c * complex(re / den, im / den)
     if abs(base) < CANCELLATION_LIMIT:
-        exact = 1 - w * c
-        base = exact.to_complex()
+        re, im = den - c * re, -c * im
+        base = complex(re / den, im / den)
         if abs(base) < sys.float_info.min:
-            d = math.lcm(exact.re.denominator, exact.im.denominator)
-            re, im = int(exact.re * d), int(exact.im * d)
+            g = math.gcd(re, im, den)
+            re, im, d = re // g, im // g, den // g
             m = max(abs(re), abs(im))
             return complex(math.log(re * re + im * im) / 2 - math.log(d),
                            math.atan2(im / m, re / m))
     return cmath.log(base)
+
+
+def _to_complex(c: tuple, conjugate=False) -> complex:
+    """A coefficient (re, im, den), or its conjugate, rounded to complex."""
+    re, im, den = c
+    return complex(re / den, (-im if conjugate else im) / den)
 
 
 def exp_inner_product(n: int, f: StepFunction, g: StepFunction) -> complex:
@@ -335,40 +344,45 @@ def jet_inner_product(u, v) -> complex:
     if n >= 2:
         half, c = order_constants(n)
         gamma = 1 / half
-    exact, exponent, nil = ComplexRational(0), 0j, _MultiDual({})
+    exact, exponent, nil = [], 0j, _MultiDual({})
     try:
         for a, b, coeffs in common_refinement([u.base.f, *u.directions, v.base.f, *v.directions]):
             cf, cg = coeffs[0], coeffs[1 + p]
-            if cf is QC_ZERO or cg is QC_ZERO:
+            length, per = b[0] * a[1] - a[0] * b[1], a[1] * b[1]
+            if cf is ZERO or cg is ZERO:
                 # conj(f) g = 0 adds nothing to the exponent (log 1 = 0 for
                 # n >= 2), however long the piece
                 log_base = 0j
-            elif n >= 2:
-                log_base = _log_base(c, cf.conjugate() * cg)
-                exponent += -gamma * float(b - a) * log_base
             else:
-                exact += cf.conjugate() * cg * (b - a)
+                (fr, fi, fd), (gr, gi, gd) = cf, cg
+                w = (fr * gr + fi * gi, fr * gi - fi * gr, fd * gd)
+                if n >= 2:
+                    log_base = _log_base(c, w)
+                    exponent += -gamma * (length / per) * log_base
+                else:
+                    exact.append((w[0] * length, w[1] * length, w[2] * per))
             if not p + q:
                 continue
             x = _MultiDual.affine(
-                cf.conjugate().to_complex(),
-                {i: d.conjugate().to_complex() for i, d in enumerate(coeffs[1 : 1 + p])},
+                _to_complex(cf, conjugate=True),
+                {i: _to_complex(d, conjugate=True) for i, d in enumerate(coeffs[1 : 1 + p])},
             )
             y = _MultiDual.affine(
-                cg.to_complex(),
-                {p + j: d.to_complex() for j, d in enumerate(coeffs[2 + p :])},
+                _to_complex(cg),
+                {p + j: _to_complex(d) for j, d in enumerate(coeffs[2 + p :])},
             )
             xy = (x * y).nilpotent_part()
             if not xy.terms:  # no nilpotent part, however long the piece
                 continue
             if n == 1:
-                nil = nil + xy.scale(float(b - a))
+                nil = nil + xy.scale(length / per)
             else:
                 # log(1 - c xy) = log(base) + log(1 - (c / base) xy_nilpotent)
                 log_1p = xy.scale(c * cmath.exp(-log_base)).series(lambda j: -1 / j)
-                nil = nil + log_1p.scale(-gamma * float(b - a))
+                nil = nil + log_1p.scale(-gamma * (length / per))
         if n == 1:
-            exponent = exact.to_complex()
+            re, im, den = gaussian_sum(exact)
+            exponent = complex(re / den, im / den)
         value = cmath.exp(exponent)
         if p + q:
             value *= nil.series(lambda j: 1 / math.factorial(j)).coefficient(range(p + q))

@@ -21,10 +21,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
-from .errors import IndexRangeError, SchemaError
+from .errors import EmptyIntervalError, IndexRangeError, SchemaError
 from .mupoly import MuPoly
 from .rewrite import Word
-from .scalars import ComplexRational, parse_fraction
+from .scalars import gaussian_from_ratios, rational_str, read_rational
 from .stepfn import CHI, StepFunction
 
 
@@ -53,38 +53,54 @@ def _require_int(value, pointer):
     return value
 
 
-def _read_fraction(value, pointer) -> Fraction:
+def _read_rational(value, pointer) -> tuple:
     try:
-        return parse_fraction(value)
+        return read_rational(value)
     except (TypeError, ValueError):
         raise SchemaError(pointer, f"expected a rational ('p/q'), got {value!r}") from None
+
+
+def _read_fraction(value, pointer) -> Fraction:
+    return Fraction(*_read_rational(value, pointer))
 
 
 # -- step functions ------------------------------------------------------------
 
 
 def decode_step_function(value, pointer="") -> StepFunction:
-    pieces = []
-    for i, item in enumerate(_require_list(value, pointer)):
-        here = f"{pointer}/{i}"
-        obj = _require_object(item, here, required=("a", "b", "re"), optional=("im",))
-        a = _read_fraction(obj["a"], f"{here}/a")
-        b = _read_fraction(obj["b"], f"{here}/b")
-        re = _read_fraction(obj["re"], f"{here}/re")
-        im = _read_fraction(obj.get("im", 0), f"{here}/im")
-        if a >= b:
-            raise SchemaError(here, f"empty interval [{a}, {b})")
-        pieces.append((a, b, ComplexRational(re, im)))
+    """The step function of a list of pieces, read as ints.
+
+    Each piece is read and its interval checked before the next is read; a
+    straddle or an overlap is reported once every piece has been read.
+    """
+    here = pointer
+
+    def rows():
+        nonlocal here
+        for i, item in enumerate(_require_list(value, pointer)):
+            here = f"{pointer}/{i}"
+            obj = _require_object(item, here, required=("a", "b", "re"), optional=("im",))
+            a = _read_rational(obj["a"], f"{here}/a")
+            b = _read_rational(obj["b"], f"{here}/b")
+            re = _read_rational(obj["re"], f"{here}/re")
+            im = _read_rational(obj.get("im", 0), f"{here}/im")
+            yield a, b, gaussian_from_ratios(*re, *im)
+
     try:
-        return StepFunction(pieces)
+        return StepFunction.from_rows(rows())
+    except EmptyIntervalError as exc:
+        raise SchemaError(here, f"empty interval {exc.interval}") from None
+    except SchemaError:
+        raise
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from exc
 
 
 def encode_step_function(fn: StepFunction) -> list:
     return [
-        {"a": str(a), "b": str(b), "re": str(c.re), "im": str(c.im)}
-        for a, b, c in fn.pieces
+        {"a": rational_str(*a), "b": rational_str(*b),
+         "re": rational_str(re, den), "im": rational_str(im, den)}
+        for a, b, (re, im, den) in fn.rows
     ]
 
 

@@ -13,19 +13,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .scalars import ComplexRational, QC_ZERO, parse_fraction
-
-
-def _scalar(value):
-    """An exact scalar as integers (re, im, den) with den > 0."""
-    if type(value) is int:
-        return value, 0, 1
-    if type(value) is Fraction:
-        return value.numerator, 0, value.denominator
-    c = ComplexRational.coerce(value)
-    re, im = c.re, c.im
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+from .scalars import ComplexRational, QC_ZERO, gaussian, parse_fraction
 
 
 def _make(num: tuple, den: int) -> "MuPoly":
@@ -53,7 +41,7 @@ def _canonical(num: list, den: int) -> "MuPoly":
 def _poly(value) -> "MuPoly":
     if isinstance(value, MuPoly):
         return value
-    re, im, den = _scalar(value)
+    re, im, den = gaussian(value)
     return _canonical([(re, im)], den)
 
 
@@ -71,7 +59,7 @@ class MuPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        parts = [_scalar(c) for c in coeffs]
+        parts = [gaussian(c) for c in coeffs]
         den = lcm(1, *(d for _, _, d in parts))
         p = _canonical([(re * (den // d), im * (den // d)) for re, im, d in parts], den)
         _set_num(self, p._num)
@@ -100,7 +88,7 @@ class MuPoly:
 
     @classmethod
     def monomial(cls, degree: int, c=1) -> "MuPoly":
-        re, im, den = _scalar(c)
+        re, im, den = gaussian(c)
         return _canonical([(0, 0)] * degree + [(re, im)], den)
 
     # -- ring operations ----------------------------------------------
@@ -173,7 +161,7 @@ class MuPoly:
         return out
 
     def scaled(self, c) -> "MuPoly":
-        cr, ci, cd = _scalar(c)
+        cr, ci, cd = gaussian(c)
         if ci:
             num = [(a * cr - b * ci, a * ci + b * cr) for a, b in self._num]
         else:

@@ -3,6 +3,8 @@
 Every structure constant in the two algebras is an integer and every test
 function has rational data, so all symbolic computation in this package runs
 over Q(i): pairs of `int` or `fractions.Fraction`, integers kept as integers.
+Step functions and mu-polynomials keep their scalars as Gaussian-integer
+triples (re, im, den) instead; `gaussian` and `from_gaussian` convert.
 Floats appear only at the numeric boundary (kernels, densities, sampling).
 """
 
@@ -10,34 +12,112 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # The largest decimal exponent read: 10**e is computed in full, so "1e99999999"
 # would take minutes.  Python's str(int) refuses more than 4300 digits anyway.
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+# "p" and "p/q" in ASCII digits, read with int(); every other string goes
+# through Fraction, which accepts these with the same value.
+_INTEGER_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_rational(value) -> tuple:
+    """The one reader of exact rationals from outside the program, as ints.
+
+    Returns (num, den) in lowest terms with den > 0.  A Fraction, an int, a
+    finite float (its exact binary value) or a "p/q" or decimal string is read
+    exactly.  A bool or any other type raises TypeError; NaN, an infinity, a
+    zero denominator, a malformed string or a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT raises ValueError.
+    """
+    kind = type(value)
+    if kind is Fraction:
+        return value.numerator, value.denominator
+    if kind is int:
+        return value, 1
+    if kind is not str and (isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction))):
+        raise TypeError(f"cannot read a rational from {value!r}")
+    try:
+        if isinstance(value, str):
+            ratio = _INTEGER_RATIO.fullmatch(value)
+            if ratio:
+                num, den = ratio.groups()
+                num, den = int(num), int(den or 1)
+                if not den:
+                    raise ZeroDivisionError
+                g = gcd(num, den)
+                return num // g, den // g
+            if "e" in value or "E" in value:
+                exponent = _EXPONENT.search(value)
+                if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+                    raise ValueError
+        exact = Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {value!r}") from None
+    return exact.numerator, exact.denominator
 
 
 def parse_fraction(value) -> Fraction:
-    """The one reader of exact rationals from outside the program.
-
-    A Fraction, an int, a finite float (its exact binary value) or a "p/q" or
-    decimal string is read exactly.  A bool or any other type raises
-    TypeError; NaN, an infinity, a zero denominator, a malformed string or a
-    decimal exponent beyond MAX_DECIMAL_EXPONENT raises ValueError.
-    """
+    """`read_rational` as a Fraction."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction)):
-        raise TypeError(f"cannot read a rational from {value!r}")
-    try:
-        if isinstance(value, str) and ("e" in value or "E" in value):
-            exponent = _EXPONENT.search(value)
-            if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-                raise ValueError
-        return Fraction(value)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        raise ValueError(f"not a rational number: {value!r}") from None
+    return Fraction(*read_rational(value))
+
+
+def rational_str(num: int, den: int) -> str:
+    """num/den as str(Fraction(num, den)) spells it: "p" or "p/q"."""
+    g = gcd(num, den)
+    if g != den:
+        return f"{num // g}/{den // g}"
+    return str(num // g)
+
+
+def gaussian(value) -> tuple:
+    """An exact scalar as ints (re, im, den): den > 0 and gcd(re, im, den) = 1."""
+    if type(value) is int:
+        return value, 0, 1
+    if type(value) is Fraction:
+        return value.numerator, 0, value.denominator
+    c = ComplexRational.coerce(value)
+    re, im = c.re, c.im
+    return gaussian_from_ratios(re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+def gaussian_from_ratios(re_num: int, re_den: int, im_num: int, im_den: int) -> tuple:
+    """re_num/re_den + i im_num/im_den, each ratio in lowest terms, as ints
+    (re, im, den) in lowest terms: over the lcm of the two denominators."""
+    den = lcm(re_den, im_den)
+    return re_num * (den // re_den), im_num * (den // im_den), den
+
+
+def gaussian_sum(terms) -> tuple:
+    """The sum of (re, im, den) terms as (re, im, den) in lowest terms."""
+    re, im, den = 0, 0, 1
+    for r, i, d in terms:
+        if d == den:
+            re += r
+            im += i
+        else:
+            g = gcd(den, d)
+            s, t = d // g, den // g
+            re, im, den = re * s + r * t, im * s + i * t, den * s
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
+def from_gaussian(re: int, im: int, den: int) -> "ComplexRational":
+    """(re + im i)/den as a ComplexRational, each part an int where it is integral."""
+    if den == 1:
+        return ComplexRational(re, im)
+    return ComplexRational(_part(re, den), _part(im, den))
+
+
+def _part(num, den):
+    g = gcd(num, den)
+    return num // g if g == den else Fraction(num // g, den // g)
 
 
 _RATIONAL = (int, Fraction)

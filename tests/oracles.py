@@ -3,18 +3,19 @@ to its values that it does not take, point evaluation and output readers."""
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
 from rhpwn import jsonio
 from rhpwn.algebra import order_constants
-from rhpwn.errors import DomainError, SchemaError, UnsupportedGeneratorError
+from rhpwn.errors import DomainError, SchemaError, TagMismatchError, UnsupportedGeneratorError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.processes import SecantDensity, _inside_pole, _w_closed_form, quad
 from rhpwn.rewrite import Word, reduce_truncated
-from rhpwn.scalars import ComplexRational, parse_fraction
+from rhpwn.scalars import QC_ZERO, ComplexRational, parse_fraction
 from rhpwn.series import series_exp, series_log
-from rhpwn.stepfn import CHI
+from rhpwn.stepfn import CHI, SymbolicIndicator
 
 
 def G_eval(n: int, u: complex, mu: float) -> complex:
@@ -176,3 +177,174 @@ def encode_word(word: Word) -> list:
         entry["function"] = "chi_I" if fn == CHI else jsonio.encode_step_function(fn)
         out.append(entry)
     return out
+
+
+# -- the Fraction-based step function, a reference for the integer one --------
+
+
+class FractionStepFunction:
+    """The engine's step function as it was with Fraction endpoints and
+    ComplexRational coefficients: the reference for the integer one."""
+
+    __slots__ = ("pieces", "_hash")
+
+    def __init__(self, pieces=()):
+        cleaned = []
+        for a, b, c in pieces:
+            a = parse_fraction(a)
+            b = parse_fraction(b)
+            c = ComplexRational.coerce(c)
+            if a >= b:
+                raise ValueError(f"empty or reversed interval [{a}, {b})")
+            if c.is_zero:
+                continue
+            if a < 0 < b:
+                raise ValueError(
+                    f"piece [{a}, {b}) straddles 0; test functions vanish at zero"
+                )
+            cleaned.append((a, b, c))
+        cleaned.sort(key=lambda p: (p[0], p[1]))
+        merged = []
+        for a, b, c in cleaned:
+            if merged:
+                pa, pb, pc = merged[-1]
+                if a < pb:
+                    raise ValueError(f"overlapping pieces at [{a}, {b})")
+                if a == pb != 0 and c == pc:
+                    merged[-1] = (pa, b, pc)
+                    continue
+            merged.append((a, b, c))
+        object.__setattr__(self, "pieces", tuple(merged))
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionStepFunction is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "FractionStepFunction":
+        return cls()
+
+    @classmethod
+    def indicator(cls, a, b, coeff=1) -> "FractionStepFunction":
+        """coeff * chi_[a, b)."""
+        return cls(((a, b, coeff),))
+
+    # -- pointwise algebra ----------------------------------------------
+
+    def _pointwise(self, other, op):
+        if isinstance(other, SymbolicIndicator):
+            raise TagMismatchError("cannot mix symbolic chi_I with concrete step functions")
+        if not isinstance(other, FractionStepFunction):
+            return NotImplemented
+        return FractionStepFunction(
+            [(a, b, op(cf, cg)) for a, b, (cf, cg) in fraction_refinement([self, other])]
+        )
+
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def __mul__(self, other):
+        """Pointwise product; partitions are refined against each other."""
+        return self._pointwise(other, operator.mul)
+
+    def scaled(self, c) -> "FractionStepFunction":
+        c = ComplexRational.coerce(c)
+        return FractionStepFunction(tuple((a, b, pc * c) for a, b, pc in self.pieces))
+
+    def conjugate(self) -> "FractionStepFunction":
+        return FractionStepFunction(tuple((a, b, c.conjugate()) for a, b, c in self.pieces))
+
+    def support_indicator(self) -> "FractionStepFunction":
+        """Indicator of the support (coefficient 1 on every piece)."""
+        return FractionStepFunction(tuple((a, b, 1) for a, b, _ in self.pieces))
+
+    # -- measure and integral ---------------------------------------------
+
+    def integral(self) -> ComplexRational:
+        acc = ComplexRational(0)
+        for a, b, c in self.pieces:
+            acc = acc + c * (b - a)
+        return acc
+
+    def integral_mu(self) -> MuPoly:
+        return MuPoly.constant(self.integral())
+
+    # -- protocol --------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.pieces
+
+    def sort_key(self):
+        return (1, tuple((a, b, c.re, c.im) for a, b, c in self.pieces))
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionStepFunction):
+            return NotImplemented
+        return self.pieces == other.pieces
+
+    def __hash__(self):
+        # Cached on first use: most step functions are never hashed, while
+        # the rewrite memo hashes the same few over and over.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.pieces))
+        return self._hash
+
+    def __str__(self):
+        if not self.pieces:
+            return "0"
+        return " + ".join(f"({c})*chi[{a},{b})" for a, b, c in self.pieces)
+
+    __repr__ = __str__
+
+
+def fraction_refinement(fns) -> list:
+    """Refine several step functions over one partition.
+
+    Returns a list of (a, b, coeffs) with coeffs[i] the constant value of
+    fns[i] on [a, b); segments where every function vanishes are dropped.
+
+    One sweep over the sorted cut points, with a cursor into each
+    function's sorted, non-overlapping pieces: O(P log P + P F) for P cut
+    points and F functions.
+    """
+    cuts = set()
+    for f in fns:
+        for a, b, _ in f.pieces:
+            cuts.add(a)
+            cuts.add(b)
+    points = sorted(cuts)
+    pieces = [f.pieces for f in fns]
+    cursors = [0] * len(pieces)
+    out = []
+    for a, b in zip(points, points[1:]):
+        coeffs = []
+        covered = False
+        for i, ps in enumerate(pieces):
+            j = cursors[i]
+            while j < len(ps) and ps[j][1] <= a:
+                j += 1
+            cursors[i] = j
+            if j < len(ps) and ps[j][0] <= a:
+                coeffs.append(ps[j][2])
+                covered = True
+            else:
+                coeffs.append(QC_ZERO)
+        if covered:
+            out.append((a, b, tuple(coeffs)))
+    return out
+
+
+def segments_as_fractions(segments) -> list:
+    """`stepfn.common_refinement` segments with Fraction endpoints and
+    ComplexRational coefficients, as `fraction_refinement` gives them."""
+    return [
+        (Fraction(*a), Fraction(*b),
+         tuple(ComplexRational(Fraction(re, den), Fraction(im, den)) for re, im, den in coeffs))
+        for a, b, coeffs in segments
+    ]

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from conftest import admissible_scale, mupoly_to_sympy, rand_admissible, rand_step_function
-from oracles import G_eval, Ghat_eval, kernel_bruteforce
+from oracles import G_eval, Ghat_eval, kernel_bruteforce, segments_as_fractions
 from rhpwn.errors import (
     DomainError,
     PrescriptionError,
@@ -88,7 +88,7 @@ def test_constant_home_matches_inline_expressions():
         c = float(Fraction(n**3 * (n - 1), 2))
         gamma = float(Fraction(2, n * n * (n - 1)))
         exponent = 0j
-        for a, b, (cf, cg) in common_refinement([f, g]):
+        for a, b, (cf, cg) in segments_as_fractions(common_refinement([f, g])):
             w = (cf.conjugate() * cg).to_complex()
             exponent += -gamma * float(b - a) * cmath.log(1 - c * w)
         return cmath.exp(exponent)

@@ -179,3 +179,44 @@ def test_write_json_streams_a_large_list():
     jsonio.write_json(obj, SimpleNamespace(write=writes.append))
     assert max(len(text) for text in writes) <= 1024
     assert "".join(writes) == json.dumps(obj, indent=2)
+
+
+# -- refused step-function payloads: the exact text and pointer ------------------
+
+_ONE = {"a": "0", "b": "1", "re": "1"}
+
+
+@pytest.mark.parametrize(
+    "pieces, pointer, message",
+    [
+        ([{"a": "1", "b": "1", "re": "1"}], "/f/0", "empty interval [1, 1)"),
+        ([_ONE, {"a": "2", "b": "1/2", "re": "1"}], "/f/1", "empty interval [2, 1/2)"),
+        ([{"a": "0", "b": "2", "re": "1"}, {"a": "1/3", "b": "3", "re": "1"}], "/f",
+         "overlapping pieces at [1/3, 3)"),
+        ([{"a": "-1/2", "b": "1", "re": "1"}], "/f",
+         "piece [-1/2, 1) straddles 0; test functions vanish at zero"),
+        ([{"a": "1/0", "b": "1", "re": "1"}], "/f/0/a", "expected a rational ('p/q'), got '1/0'"),
+        ([{"a": "0", "b": "abc", "re": "1"}], "/f/0/b", "expected a rational ('p/q'), got 'abc'"),
+        ([{"a": "0", "b": "1", "re": True}], "/f/0/re", "expected a rational ('p/q'), got True"),
+        ([{"a": "0", "b": "1"}], "/f/0", "missing required field 're'"),
+        ([{"a": "0", "b": "1", "re": "1", "x": "2"}], "/f/0/x", "unknown field"),
+        # with two faults, the first piece's empty interval is reported before
+        # the second piece is read, and every piece is read before a straddle
+        ([{"a": "1", "b": "1", "re": "1"}, {"a": "x", "b": "1", "re": "1"}], "/f/0",
+         "empty interval [1, 1)"),
+        ([{"a": "-1", "b": "1", "re": "1"}, {"a": "x", "b": "1", "re": "1"}], "/f/1/a",
+         "expected a rational ('p/q'), got 'x'"),
+    ],
+    ids=["empty", "reversed", "overlap", "straddle", "zero-denominator", "abc", "true",
+         "missing-re", "unknown-field", "empty-before-unread", "unread-before-straddle"],
+)
+def test_refused_step_function_payloads(pieces, pointer, message):
+    with pytest.raises(SchemaError) as err:
+        jsonio.decode_step_function(pieces, "/f")
+    assert err.value.pointer == pointer
+    assert str(err.value) == f"{pointer}: {message}"
+
+
+def test_unreduced_rational_is_read_and_written_reduced():
+    fn = jsonio.decode_step_function([{"a": "0", "b": "2/4", "re": "2/4", "im": "-3/6"}])
+    assert jsonio.encode_step_function(fn) == [{"a": "0", "b": "1/2", "re": "1/2", "im": "-1/2"}]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import COEFFS, RATIONALS, SCALARS
 from oracles import eval_float, mu_poly_from_strings, parse_complex_rational
 from rhpwn.mupoly import MU, MuPoly
-from rhpwn.scalars import ComplexRational, parse_fraction
+from rhpwn.scalars import ComplexRational, parse_fraction, read_rational
 
 
 def test_parse_and_format_fraction():
@@ -47,6 +47,26 @@ def test_parse_and_format_fraction():
 def test_parse_fraction_refuses(value, error):
     with pytest.raises(error):
         parse_fraction(value)
+
+
+_RATIO_TEXT = st.lists(
+    st.sampled_from(["0", "1", "7", "00", "12", "-", "+", "/", "_", " ", ".", "e", "\u0663"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_RATIO_TEXT)
+def test_read_rational_reads_strings_as_fraction_does(text):
+    # "p" and "p/q" are read with int(); every string must read as Fraction
+    # reads it, reduced, or be refused with ValueError as Fraction refuses it
+    try:
+        exact = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            read_rational(text)
+    else:
+        assert read_rational(text) == (exact.numerator, exact.denominator)
 
 
 def test_parse_fraction_caps_the_decimal_exponent():

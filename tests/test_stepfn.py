@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_step_function, step_functions
-from oracles import value_at
+from oracles import FractionStepFunction, fraction_refinement, segments_as_fractions, value_at
+from rhpwn.jsonio import encode_step_function
 from rhpwn.scalars import ComplexRational
 from rhpwn.stepfn import CHI, StepFunction, SymbolicIndicator, common_refinement
 from rhpwn.errors import TagMismatchError
@@ -63,7 +64,7 @@ def test_common_refinement_consistency():
     rng = random.Random(6)
     for _ in range(30):
         fns = [rand_step_function(rng) for _ in range(3)]
-        for a, b, coeffs in common_refinement(fns):
+        for a, b, coeffs in segments_as_fractions(common_refinement(fns)):
             assert a < b
             mid = (a + b) / 2
             for fn, c in zip(fns, coeffs):
@@ -89,7 +90,7 @@ def reference_refinement(fns):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(step_functions(), min_size=1, max_size=4))
 def test_common_refinement_matches_pointwise_reference(fns):
-    assert common_refinement(fns) == reference_refinement(fns)
+    assert segments_as_fractions(common_refinement(fns)) == reference_refinement(fns)
 
 
 def test_symbolic_indicator():
@@ -142,3 +143,129 @@ def test_ring_laws(f, g, h, c):
     # the integral is linear
     assert f.scaled(c).integral() == f.integral() * c
     assert (f + g).integral() == f.integral() + g.integral()
+
+
+def test_difference_checks_its_operand_as_the_sum_does():
+    f = StepFunction.indicator(0, 1, 2)
+    with pytest.raises(TagMismatchError):
+        f - CHI
+    with pytest.raises(TypeError):
+        f - 1
+    assert f - StepFunction.indicator(0, 1) == StepFunction.indicator(0, 1)
+
+
+# -- the integer representation against the Fraction-based reference ----------
+
+# Endpoints over several denominators, so refinements need a common scale and
+# sums and products reduce; coefficients from a short list, so neighbours are
+# often equal and merge.
+_ENDPOINTS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 6, 7, 12]))
+_DIFF_COEFFS = st.sampled_from([
+    None, 0, 1, -1, Fraction(2, 4), Fraction(-1, 3), ComplexRational(Fraction(1, 2), Fraction(-1, 6)),
+    ComplexRational(0, 2), 3.5, 0.25 - 2j,
+])
+
+
+@st.composite
+def reference_pairs(draw):
+    """A StepFunction and the FractionStepFunction of the same pieces, given
+    in any order."""
+    points = sorted(draw(st.sets(_ENDPOINTS, max_size=10)) | {Fraction(0)})
+    coeffs = draw(st.lists(_DIFF_COEFFS, min_size=len(points), max_size=len(points)))
+    pieces = [(a, b, c) for a, b, c in zip(points, points[1:], coeffs) if c is not None]
+    pieces = draw(st.permutations(pieces))
+    return StepFunction(pieces), FractionStepFunction(pieces)
+
+
+def _encode_reference(fn):
+    return [{"a": str(a), "b": str(b), "re": str(c.re), "im": str(c.im)} for a, b, c in fn.pieces]
+
+
+def _assert_same(fn, ref):
+    assert fn.pieces == ref.pieces
+    assert str(fn) == str(ref)
+    assert encode_step_function(fn) == _encode_reference(ref)
+    assert fn.integral() == ref.integral()
+    assert str(fn.integral()) == str(ref.integral())
+    assert fn.sort_key() == ref.sort_key()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(reference_pairs(), reference_pairs(), reference_pairs(), COEFFS)
+def test_integer_step_functions_match_the_fraction_reference(x, y, z, c):
+    (f, rf), (g, rg), (h, rh) = x, y, z
+    _assert_same(f, rf)
+    _assert_same(f + g, rf + rg)
+    _assert_same(f - g, rf + rg.scaled(-1))
+    _assert_same(f * g, rf * rg)
+    _assert_same(f.scaled(c), rf.scaled(c))
+    _assert_same(f.conjugate(), rf.conjugate())
+    _assert_same(f.support_indicator(), rf.support_indicator())
+    assert (f == g) == (rf == rg)
+    assert f == StepFunction(rf.pieces) and hash(f) == hash(StepFunction(rf.pieces))
+    if f == g:
+        assert hash(f) == hash(g)
+    assert segments_as_fractions(common_refinement([f, g, h])) == fraction_refinement([rf, rg, rh])
+
+
+def _primes(count):
+    out, n = [], 2
+    while len(out) < count:
+        if all(n % p for p in out if p * p <= n):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_product_parts_stay_as_long_as_its_factors_parts():
+    # 1,000 pieces a side, every denominator a different prime: over one common
+    # denominator per function each numerator would carry all of them
+    ps = iter(_primes(4000))
+    f = StepFunction([(i + Fraction(1, next(ps)), i + 1, Fraction(1, next(ps)))
+                      for i in range(1000)])
+    g = StepFunction([(i, i + 1 - Fraction(1, next(ps)),
+                       ComplexRational(Fraction(1, p), Fraction(-1, p)))
+                      for i, p in zip(range(1000), ps)])
+
+    def longest(fn):
+        return max(abs(x).bit_length() for row in fn.rows for part in row for x in part)
+
+    fg = f * g
+    assert len(fg.rows) == 1000
+    assert longest(fg) <= longest(f) + longest(g)
+    assert fg.pieces == (FractionStepFunction(f.pieces) * FractionStepFunction(g.pieces)).pieces
+
+
+@pytest.mark.parametrize(
+    "pieces_f, pieces_g",
+    [
+        # 1 and 1 + 10^-20 round to the same float
+        ([(1, Fraction(10**20 + 1, 10**20), 2), (2, 3, 1)], [(Fraction(1, 2), 1, 3), (1, 2, 5)]),
+        # -10^-400 rounds to -0.0, which equals 0.0
+        ([(Fraction(-1, 10**400), 0, 1)], [(-1, 0, 2), (0, 1, 3)]),
+        # 10^400 leaves the float range
+        ([(1, 10**400, 2)], [(0, 2, 3), (10**400 - 1, 10**400 + 1, 1j)]),
+    ],
+    ids=["equal-floats", "signed-zero", "past-the-float-range"],
+)
+def test_cut_points_that_floats_cannot_order(pieces_f, pieces_g):
+    f, g = StepFunction(pieces_f), StepFunction(pieces_g)
+    rf, rg = FractionStepFunction(pieces_f), FractionStepFunction(pieces_g)
+    assert segments_as_fractions(common_refinement([f, g])) == fraction_refinement([rf, rg])
+    assert (f * g).pieces == (rf * rg).pieces
+    assert (f + g).pieces == (rf + rg).pieces
+    assert StepFunction(pieces_f[::-1] + [(-3, -2, 1)]).pieces == FractionStepFunction(
+        pieces_f + [(-3, -2, 1)]).pieces
+
+
+def test_integral_parts_of_results_are_ints():
+    f = StepFunction([(0, Fraction(1, 2), Fraction(8, 2)), (1, 3, ComplexRational(Fraction(1, 2), 3))])
+    g = StepFunction.indicator(0, 4, 2)
+    fg = f * g
+    assert str(fg) == "(8)*chi[0,1/2) + (1+6i)*chi[1,3)"
+    assert str(fg.integral()) == "6+12i" and str(f.integral()) == "3+6i"
+    for c in (fg.pieces[0][2], fg.pieces[1][2], fg.integral(), f.integral(), f.scaled(4).pieces[1][2]):
+        assert type(c.re) is int and type(c.im) is int, c
+    # over a common denominator one part may be integral and the other not
+    [(_, _, half)] = g.scaled(ComplexRational(Fraction(1, 2), Fraction(1, 4))).pieces
+    assert type(half.re) is int and half.im == Fraction(1, 2)
