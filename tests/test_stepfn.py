@@ -156,9 +156,9 @@ def test_difference_checks_its_operand_as_the_sum_does():
 
 # -- the integer representation against the Fraction-based reference ----------
 
-# Endpoints over several denominators, so refinements need a common scale and
-# sums and products reduce; coefficients from a short list, so neighbours are
-# often equal and merge.
+# Endpoints over several denominators, so cut points of different
+# denominators interleave and sums and products reduce; coefficients from a
+# short list, so neighbours are often equal and merge.
 _ENDPOINTS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 6, 7, 12]))
 _DIFF_COEFFS = st.sampled_from([
     None, 0, 1, -1, Fraction(2, 4), Fraction(-1, 3), ComplexRational(Fraction(1, 2), Fraction(-1, 6)),
