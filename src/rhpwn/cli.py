@@ -5,9 +5,11 @@ Each handler returns one JSON object; it goes to stdout as JSON by default,
 and with --format csv its rows are rendered from that same object.  The JSON
 is written by `jsonio.write_json`: the bytes the standard `json` module
 writes with indent=2, ASCII only, streamed one element at a time, for dicts,
-lists, str, int, bool and None only.  Exact rationals are emitted as "p/q"
-strings and floats with 17 significant digits, so identical invocations
-produce byte-identical output.  Exit codes: 0 success, 2 domain or input
+lists, str, int, bool and None only.  The float sweeps of `mgf`, `density`
+and `sample` return their rows as a `jsonio.FloatRows` table, which both
+formats write `jsonio.TABLE_CHUNK` rows at a time.  Exact rationals are
+emitted as "p/q" strings and floats by `jsonio.float_text`, with 17
+significant digits, so identical invocations produce byte-identical output.  Exit codes: 0 success, 2 domain or input
 errors, 1 internal failure.
 """
 
@@ -27,8 +29,7 @@ from .rewrite import vacuum_expectation
 from .scalars import ComplexRational, parse_fraction
 
 
-def _fmt(x: float) -> str:
-    return format(x or 0.0, ".17g")  # -0.0 is falsy: never emit -0
+_fmt = jsonio.float_text
 
 
 def _finite_float(text: str) -> float:
@@ -212,11 +213,9 @@ def _cmd_split_check(args):
 
 
 def _cmd_mgf(args):
-    body = [
-        {"s": _fmt(s), "value": _fmt(processes.mgf_eval(args.n, s, args.t))}
-        for s in _parse_grid(args.s_grid)
-    ]
-    return {"n": args.n, "t": _fmt(args.t), "rows": body}
+    ss = _parse_grid(args.s_grid)
+    values = [processes.mgf_eval(args.n, s, args.t) for s in ss]
+    return {"n": args.n, "t": _fmt(args.t), "rows": jsonio.FloatRows(("s", "value"), ss, values)}
 
 
 def _cmd_density(args):
@@ -225,8 +224,8 @@ def _cmd_density(args):
         density = processes.SecantDensity(args.t)
     else:
         density = processes.scaled_density(args.n, args.t)
-    body = [{"x": _fmt(x), "p": _fmt(density(x))} for x in xs]
-    return {"t": _fmt(args.t), "n": args.n, "rows": body}
+    ps = [density(x) for x in xs]
+    return {"t": _fmt(args.t), "n": args.n, "rows": jsonio.FloatRows(("x", "p"), xs, ps)}
 
 
 def _cmd_sample(args):
@@ -236,7 +235,7 @@ def _cmd_sample(args):
         "t": _fmt(args.t),
         "count": args.count,
         "seed": args.seed,
-        "samples": [_fmt(x) for x in samples],
+        "samples": jsonio.FloatRows(None, samples),
     }
 
 
@@ -364,20 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=8)
 
-    p = add("mgf", "closed-form MGF sweep", _cmd_mgf,
-            lambda o: [("s", "closed_form")] + [(r["s"], r["value"]) for r in o["rows"]])
+    p = add("mgf", "closed-form MGF sweep", _cmd_mgf, lambda o: [("s", "closed_form"), o["rows"]])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--s-grid", dest="s_grid", required=True, help="start:stop:step")
 
     p = add("density", "secant-family density sweep (base law, or order n with --n)", _cmd_density,
-            lambda o: [("x", "p")] + [(r["x"], r["p"]) for r in o["rows"]])
+            lambda o: [("x", "p"), o["rows"]])
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--x-grid", dest="x_grid", required=True, help="start:stop:step")
     p.add_argument("--n", type=int, default=None)
 
     p = add("sample", "draw from the base law (one sample per line)", _cmd_sample,
-            lambda o: ((line,) for line in o["samples"]), fmt="csv")
+            lambda o: [o["samples"]], fmt="csv")
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -390,8 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_csv(rows, stream):
     # Cells are written as str(cell), with no per-cell check: every table but
     # _kv_rows holds numbers and exact-rational strings only, and _kv_rows,
-    # whose values can be free text, lists or null, quotes its own cells.
+    # whose values can be free text, lists or null, quotes its own cells.  A
+    # FloatRows in place of a row stands for all its rows.
     for row in rows:
+        if isinstance(row, jsonio.FloatRows):
+            csv_row = ",".join([jsonio.FLOAT_FORMAT] * len(row.columns)) + "\n"
+            for text in row.chunks(csv_row):
+                stream.write(text)
+            continue
         stream.write(",".join(str(cell) for cell in row))
         stream.write("\n")
 

@@ -12,13 +12,17 @@ SchemaError carrying the JSON-pointer of the offending node.
 
 `write_json` is the one writer of the command line's JSON: the bytes the
 standard `json` module writes with indent=2, ASCII only, streamed, for dicts
-with str keys, lists, str, int, bool and None only.
+with str keys, lists, str, int, bool and None only, and for `FloatRows`
+tables of floats as values of the top-level object.  `float_text` is the one
+rule by which a float becomes text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 
 from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
 from .errors import EmptyIntervalError, IndexRangeError, SchemaError
@@ -170,6 +174,60 @@ def encode_mu_poly(poly: MuPoly) -> dict:
     return {"mu_poly": poly.to_strings()}
 
 
+# -- floats ---------------------------------------------------------------------
+
+# A float as text: 17 significant digits of x + 0.0, which turns -0.0 into
+# 0.0, so -0 is never written.
+FLOAT_FORMAT = "%.17g"
+
+# Rows of a FloatRows table formatted per string.
+TABLE_CHUNK = 256
+
+
+def float_text(x) -> str:
+    return FLOAT_FORMAT % (x + 0.0)
+
+
+class FloatRows:
+    """A table of equally long float columns, formatted a chunk at a time.
+
+    With keys, one per column, `write_json` writes the table as a list of
+    objects {key: float_text(value), ...}; with keys None and one column, as
+    a list of float_text strings.  The columns are sequences that slice:
+    lists of floats or one-dimensional numpy arrays.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, *columns):
+        if len(columns) != (1 if keys is None else len(keys)) or not columns:
+            raise ValueError(f"keys {keys!r} do not name {len(columns)} columns")
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("columns differ in length")
+        self.keys = keys
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def chunks(self, row: str, sep: str = ""):
+        """The rows as text, TABLE_CHUNK rows per string: each row is `row`,
+        a template with one float field per column, filled with one `%` per
+        chunk, and rows are joined by `sep`, which does not end a chunk."""
+        width, size = len(self.columns), len(self)
+        full = sep.join([row] * TABLE_CHUNK)
+        for start in range(0, size, TABLE_CHUNK):
+            stop = min(start + TABLE_CHUNK, size)
+            if width == 1:
+                flat = self.columns[0][start:stop]
+            else:
+                flat = [None] * (width * (stop - start))
+                for i, column in enumerate(self.columns):
+                    flat[i::width] = column[start:stop]
+            template = full if stop - start == TABLE_CHUNK else sep.join([row] * (stop - start))
+            yield template % tuple(map(add, flat, repeat(0.0)))
+
+
 # -- writing ----------------------------------------------------------------------
 
 
@@ -205,14 +263,26 @@ def _encode(obj, indent: str) -> str:
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
+def _json_row(keys) -> str:
+    """The template of one table row as a value of the top-level object:
+    keys quoted, with their `%` doubled, and one float field per column."""
+    field = '"' + FLOAT_FORMAT + '"'
+    if keys is None:
+        return "\n    " + field
+    fields = ("\n      " + _quote(key).replace("%", "%%") + ": " + field for key in keys)
+    return "\n    {" + ",".join(fields) + "\n    }"
+
+
 def write_json(obj, stream) -> None:
     """Write obj to stream byte for byte as `json` writes it with indent=2.
 
-    Only dicts with str keys, lists, str, int, bool and None are written;
-    any other value, a float or a tuple included, raises TypeError.  The
-    top-level container and each list directly under it go out one element
-    per write, so a large result is never held as one string; anything
-    deeper is one string per element.
+    Only dicts with str keys, lists, str, int, bool and None are written,
+    and a `FloatRows` table as a value of a top-level dict, written as the
+    list its rows spell; any other value, a float, a tuple or a table
+    elsewhere included, raises TypeError.  The top-level container and each
+    list directly under it go out one element per write, and a table
+    TABLE_CHUNK rows per write, so a large result is never held as one
+    string; anything deeper is one string per element.
     """
     write = stream.write
     if isinstance(obj, dict) and obj:
@@ -228,7 +298,14 @@ def write_json(obj, stream) -> None:
         return
     sep = "\n  "
     for head, value in entries:
-        if isinstance(value, list) and value:
+        if isinstance(value, FloatRows) and head:
+            write(sep + head + "[")
+            lead = ""
+            for text in value.chunks(_json_row(value.keys), ","):
+                write(lead + text)
+                lead = ","
+            write("\n  ]" if lead else "]")
+        elif isinstance(value, list) and value:
             write(sep + head + "[")
             item_sep = "\n    "
             for item in value:

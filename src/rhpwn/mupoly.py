@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .scalars import ComplexRational, QC_ZERO, gaussian, parse_fraction
+from .scalars import ComplexRational, QC_ZERO, from_gaussian, gaussian, parse_fraction
 
 
 def _make(num: tuple, den: int) -> "MuPoly":
@@ -175,11 +175,9 @@ class MuPoly:
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficients c0..cd as ComplexRational, `int` parts when the denominator is 1."""
+        """Coefficients c0..cd as ComplexRational, each part an `int` where it is integral."""
         den = self._den
-        if den == 1:
-            return tuple(ComplexRational(a, b) for a, b in self._num)
-        return tuple(ComplexRational(Fraction(a, den), Fraction(b, den)) for a, b in self._num)
+        return tuple(from_gaussian(a, b, den) for a, b in self._num)
 
     @property
     def is_zero(self) -> bool:

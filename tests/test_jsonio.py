@@ -1,16 +1,20 @@
 import io
 import json
+import math
 import random
+import struct
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_element, rand_step_function, step_functions
 from oracles import decode_mu_poly, encode_word
-from rhpwn import jsonio
+from rhpwn import cli, jsonio
 from rhpwn.algebra import RHPWN, WINFTY, GeneratorIndex
 from rhpwn.errors import SchemaError
 from rhpwn.mupoly import MU, MuPoly
@@ -179,6 +183,119 @@ def test_write_json_streams_a_large_list():
     jsonio.write_json(obj, SimpleNamespace(write=writes.append))
     assert max(len(text) for text in writes) <= 1024
     assert "".join(writes) == json.dumps(obj, indent=2)
+
+
+# -- float text and float tables ---------------------------------------------------
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan, -math.nan,
+    1e16, 1e17, -1e16, -1e17, 1e16 + 2, 9007199254740993.0, 0.1, 1 / 3, 123456789012345680.0,
+]
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _old_text(x) -> str:
+    """The float text the handlers wrote before tables, one call per value."""
+    return format(x or 0.0, ".17g")
+
+
+@pytest.mark.parametrize("x", _EDGE_FLOATS, ids=repr)
+def test_float_text_of_edge_values(x):
+    assert jsonio.float_text(x) == _old_text(x)
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.one_of(st.integers(0, 2**64 - 1).map(_float_of_bits), st.floats(), st.sampled_from(_EDGE_FLOATS)))
+def test_float_text_is_17_digits_with_no_negative_zero(x):
+    assert jsonio.float_text(x) == _old_text(x)
+
+
+def _columns(width: int, size: int, seed: int) -> list:
+    """`width` float columns of `size` values: random bit patterns mixed with edge values."""
+    rng = random.Random(seed)
+    return [
+        [rng.choice(_EDGE_FLOATS) if rng.random() < 0.2 else _float_of_bits(rng.getrandbits(64))
+         for _ in range(size)]
+        for _ in range(width)
+    ]
+
+
+def _old_rows(keys, columns) -> list:
+    """The table as the handlers built it before: a list of formatted strings
+    without keys, else one dict of formatted strings per row."""
+    if keys is None:
+        return [_old_text(x) for x in columns[0]]
+    return [{k: _old_text(v) for k, v in zip(keys, row)} for row in zip(*columns)]
+
+
+_TABLE_SIZES = [0, 1, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK, jsonio.TABLE_CHUNK + 1]
+_TABLE_KEYS = [None, ("x", "p"), ("s", "value"), ('say "q"', "100%", "%s%%d", "\xe9\u2028\U0001f600")]
+_TABLE_KEY_IDS = ["samples", "density", "mgf", "escaped"]
+
+
+@pytest.mark.parametrize("size", _TABLE_SIZES)
+@pytest.mark.parametrize("keys", _TABLE_KEYS, ids=_TABLE_KEY_IDS)
+def test_table_writes_what_json_writes_for_the_old_rows(keys, size):
+    columns = _columns(1 if keys is None else len(keys), size, seed=size)
+    for as_array in (False, True) if keys is None else (False,):
+        cols = [np.array(c) for c in columns] if as_array else columns
+        table = {"t": "1", "rows": jsonio.FloatRows(keys, *cols), "n": None}
+        out = io.StringIO()
+        jsonio.write_json(table, out)
+        old = {"t": "1", "rows": _old_rows(keys, columns), "n": None}
+        # compared as lines: a failure names its first differing line at once
+        assert out.getvalue().splitlines(True) == json.dumps(old, indent=2).splitlines(True)
+
+
+@pytest.mark.parametrize("size", _TABLE_SIZES)
+@pytest.mark.parametrize("keys", _TABLE_KEYS, ids=_TABLE_KEY_IDS)
+def test_table_csv_is_what_the_old_rows_wrote(keys, size):
+    columns = _columns(1 if keys is None else len(keys), size, seed=size + 1)
+    header = [] if keys is None else [("h",) * len(keys)]
+    old_rows = [(row,) if keys is None else tuple(row.values()) for row in _old_rows(keys, columns)]
+    theirs, ours = io.StringIO(), io.StringIO()
+    cli._write_csv(header + old_rows, theirs)
+    cli._write_csv(header + [jsonio.FloatRows(keys, *columns)], ours)
+    assert ours.getvalue().splitlines(True) == theirs.getvalue().splitlines(True)
+
+
+def test_table_streams_a_chunk_per_write():
+    size = 10 * jsonio.TABLE_CHUNK + 3
+    obj = {"count": size, "samples": jsonio.FloatRows(None, [-0.0, 1 / 3, -2.5e-300] * (size // 3))}
+    writes = []
+    jsonio.write_json(obj, SimpleNamespace(write=writes.append))
+    assert len(writes) >= size // jsonio.TABLE_CHUNK
+    assert max(len(text) for text in writes) <= 40 * jsonio.TABLE_CHUNK
+    old = {"count": size, "samples": _old_rows(None, obj["samples"].columns)}
+    assert "".join(writes).splitlines(True) == json.dumps(old, indent=2).splitlines(True)
+
+
+_TABLE = jsonio.FloatRows(("x",), [0.5])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [_TABLE, [_TABLE], {"a": [_TABLE]}, {"a": {"b": _TABLE}}, [{"a": _TABLE}]],
+    ids=["top-level", "in-top-level-list", "in-list", "in-dict", "in-list-dict"],
+)
+def test_a_table_outside_the_top_level_object_is_refused(obj):
+    with pytest.raises(TypeError):
+        jsonio.write_json(obj, io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "keys, columns",
+    [(None, ()), (None, ([1.0], [2.0])), (("x",), ()), (("x", "p"), ([1.0],)),
+     (("x", "p"), ([1.0], [2.0, 3.0]))],
+    ids=["no-column", "two-columns-no-keys", "key-no-column", "key-without-column", "ragged"],
+)
+def test_a_table_needs_one_column_per_key_of_one_length(keys, columns):
+    with pytest.raises(ValueError):
+        jsonio.FloatRows(keys, *columns)
 
 
 # -- refused step-function payloads: the exact text and pointer ------------------

@@ -192,6 +192,27 @@ def test_mupoly_ring_laws(p, q, r):
     assert hash(mu_poly_from_strings(p.to_strings())) == hash(p)
 
 
+def test_mupoly_coeffs_have_int_parts_where_integral():
+    p = MU.scaled(Fraction(1, 2)) + 3
+    c0, c1 = p.coeffs
+    assert type(c0.re) is int and c0.re == 3 and type(c0.im) is int
+    assert type(c1.re) is Fraction and c1.re == Fraction(1, 2) and type(c1.im) is int
+    assert str(p) == "1/2*mu + 3" and p.to_strings() == ["3", "1/2"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_POLYS, SCALARS)
+def test_mupoly_coeff_parts_are_ints_exactly_where_integral(p, c):
+    q = p.scaled(c) + c
+    for z in q.coeffs:
+        for part in (z.re, z.im):
+            assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+    # the same values, strings and hash as coefficients built from Fractions
+    as_fractions = tuple(ComplexRational(Fraction(z.re), Fraction(z.im)) for z in q.coeffs)
+    assert q.coeffs == as_fractions and hash(q.coeffs) == hash(as_fractions)
+    assert q.to_strings() == [str(z) for z in as_fractions]
+
+
 # -- MuPoly against the dense ComplexRational-coefficient reference ------------
 
 
@@ -283,8 +304,11 @@ def _assert_canonical(p):
 def _assert_matches(p, ref):
     _assert_canonical(p)
     assert p.coeffs == ref.coeffs
-    part_type = int if p._den == 1 else Fraction
-    assert all(type(x) is part_type for c in p.coeffs for x in (c.re, c.im))
+    assert all(
+        type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+        for c in p.coeffs
+        for x in (c.re, c.im)
+    )
     assert str(p) == str(ref)
     assert p.to_strings() == [str(c) for c in ref.coeffs]
     assert mu_poly_from_strings(p.to_strings()) == p
