@@ -9,8 +9,8 @@ lists, str, int, bool and None only.  The float sweeps of `mgf`, `density`
 and `sample` return their rows as a `jsonio.FloatRows` table, which both
 formats write `jsonio.TABLE_CHUNK` rows at a time.  Exact rationals are
 emitted as "p/q" strings and floats by `jsonio.float_text`, with 17
-significant digits, so identical invocations produce byte-identical output.  Exit codes: 0 success, 2 domain or input
-errors, 1 internal failure.
+significant digits, so identical invocations produce byte-identical output.
+Exit codes: 0 success, 2 domain or input errors, 1 internal failure.
 """
 
 from __future__ import annotations
