@@ -16,6 +16,12 @@ MGF (sec s)^t.  `SecantDensity(t)` is its one evaluator: it computes the
 terms free of x once and takes one complex log-Gamma per point.  The density
 is integrated by adaptive Simpson quadrature (`quad`) and sampled by linear
 interpolation of the tabulated inverse CDF.
+
+The density, `scaled_density` and `mgf_eval` are even bit for bit, failures
+included: log Gamma of a conjugate is the conjugate of log Gamma, and cos and
+s*s do not see the sign of s.  `even_sweep` evaluates such a function on an
+ascending grid and gives each positive point the value already computed at
+its mirror, so a grid symmetric about 0 costs about half its points.
 """
 
 from __future__ import annotations
@@ -271,7 +277,9 @@ class SecantDensity:
 
     The terms free of x, (t-1) log 2 - log 2 pi and log Gamma(t), are
     computed once; each point then takes one log-Gamma a = log Gamma((t+ix)/2),
-    since log Gamma((t-ix)/2) is its conjugate, bit for bit.
+    since log Gamma((t-ix)/2) is its conjugate, bit for bit.  For the same
+    reason the value at -x is the value at x, bit for bit, and -x fails exactly
+    where x does; `even_sweep` reuses it on a grid that holds both.
 
     The tail of p_t decays like x^(t-1) exp(-pi x / 2); past the returned
     cutoff the discarded mass is below the requested epsilon.
@@ -316,6 +324,31 @@ class SecantDensity:
                 return x
             x *= 1.25
         raise DomainError(f"tail cutoff for eps={eps}, weight={weight} not found")
+
+
+def even_sweep(f, xs) -> list:
+    """[f(x) for x in xs] for an f with f(-x) == f(x) bit for bit.
+
+    A positive x takes the value already computed at an earlier point equal
+    to -x.  For ascending xs those mirrors are met from right to left, so one
+    pointer moving left through xs finds them and nothing is stored besides
+    the result.  Every other point is evaluated at its own x, in grid order,
+    so the first point that raises is the one the comprehension raises at: a
+    mirror is reused only after it was computed.
+    """
+    values = []
+    j = None  # the mirror candidate; starts just left of the first positive x
+    for i, x in enumerate(xs):
+        if x > 0:
+            if j is None:
+                j = i - 1
+            while j >= 0 and xs[j] > -x:
+                j -= 1
+            if j >= 0 and xs[j] == -x:
+                values.append(values[j])
+                continue
+        values.append(f(x))
+    return values
 
 
 # -- quadrature and sampling ------------------------------------------------------

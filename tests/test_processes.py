@@ -1,12 +1,14 @@
 import cmath
 import io
 import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -32,6 +34,7 @@ from rhpwn.processes import (
     classical_check,
     complex_log_gamma,
     density_p,
+    even_sweep,
     mgf_eval,
     riccati_split,
     sample_X,
@@ -450,6 +453,191 @@ def test_scaled_density_reused_matches_one_point_form():
         dens = scaled_density(n, t)
         for y in [0.0, -0.0] + [rng.uniform(-60.0, 60.0) for _ in range(30)]:
             assert dens(y) == scaled_density(n, t)(y), (n, t, y)
+
+
+# -- bitwise evenness, which even_sweep relies on ----------------------------------
+
+
+def _outcome(f, x):
+    """float.hex of f(x), or the type of the exception it raised."""
+    try:
+        return float.hex(f(x))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+_DENSITY_TIMES = st.floats(min_value=0.0, max_value=processes.MAX_DENSITY_T, exclude_min=True)
+# +-0, the least subnormal, points where p_t underflows to 0, and the float range
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2000.0, 1e6, 1e300, sys.float_info.max]),
+    st.floats(min_value=-200.0, max_value=200.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def test_evenness_points_reach_underflow():
+    assert SecantDensity(1.0)(2000.0) == 0.0
+    assert SecantDensity(processes.MAX_DENSITY_T)(1e6) == 0.0
+    assert scaled_density(5, 1.0)(1e6) == 0.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_DENSITY_TIMES, _POINTS)
+@example(5e-324, 0.0)
+@example(1.0, 5e-324)
+@example(processes.MAX_DENSITY_T, 2000.0)
+def test_secant_density_is_even_bit_for_bit(t, x):
+    dens = SecantDensity(t)
+    assert _outcome(dens, -x) == _outcome(dens, x), (t, x)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(2, 5), st.floats(min_value=1e-300, max_value=processes.MAX_DENSITY_T), _POINTS)
+@example(2, 1.0, 5e-324)
+def test_scaled_density_is_even_bit_for_bit(n, t, y):
+    dens = scaled_density(n, t)
+    assert _outcome(dens, -y) == _outcome(dens, y), (n, t, y)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=processes.MAX_DENSITY_T, exclude_min=True),
+)
+@example(1, 5e-324, 1.0)
+@example(3, 0.0, 1.0)
+def test_mgf_is_even_bit_for_bit(n, u, t):
+    # s a fraction u of the pole pi / (2 sqrt c); n = 1 has none and overflows past 40 at t = 1
+    pole = 40.0 if n == 1 else math.pi / (2 * math.sqrt(order_constants(n)[1]))
+    s = u * pole
+    f = lambda s: mgf_eval(n, s, t)  # noqa: E731
+    assert _outcome(f, -s) == _outcome(f, s), (n, s, t)
+
+
+# -- even_sweep ------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 5e-324, -5e-324]), max_size=12),
+    st.booleans(),
+)
+def test_even_sweep_is_the_comprehension(xs, ascending):
+    if ascending:
+        xs.sort()
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return float.hex(abs(x))
+
+    assert even_sweep(f, xs) == [float.hex(abs(x)) for x in xs]
+    if ascending:
+        assert len(calls) == sum(1 for x in xs if not (x > 0 and -x in xs))
+
+
+def _grid_spec(rng, kind):
+    """start:stop:step of one seeded grid of the given shape."""
+    step = Fraction(rng.randint(1, 60), rng.randint(1, 12)) * rng.choice(
+        [Fraction(1, 100), Fraction(1, 10), Fraction(1), Fraction(5)]
+    )
+    offset = step * Fraction(rng.randint(1, 9), 10)
+    count = rng.randint(1, 20)
+    if kind == "symmetric":
+        start = -step * count - rng.choice([0, offset])
+        stop = -start
+    elif kind == "off-centre":
+        start = -step * rng.randint(1, 20) + rng.choice([offset, -offset])
+        stop = start + step * count * 2
+    elif kind == "positive":
+        start = offset + step * rng.randint(0, 5)
+        stop = start + step * count
+    elif kind == "negative":
+        stop = -offset - step * rng.randint(0, 5)
+        start = stop - step * count
+    elif kind == "one-point":
+        start = stop = rng.choice([1, -1]) * offset * rng.randint(0, 3)
+    else:  # huge: about 2^54 to 2^70
+        big = Fraction(2 ** rng.randint(54, 70)) + Fraction(rng.randint(0, 3), rng.randint(1, 4))
+        if rng.random() < 0.5:  # across 0 in steps of about 2^e
+            step = big / rng.randint(1, 3)
+            start, stop = -big, big
+        else:  # 1/4..1 apart, so neighbours round to the same float
+            step = Fraction(1, rng.randint(1, 4))
+            start = rng.choice([1, -1]) * big
+            stop = start + 40 * step
+    return f"{start}:{stop}:{step}"
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_sweeps_write_what_the_comprehension_writes(monkeypatch):
+    rng = random.Random(2020)
+    kinds = ("symmetric", "off-centre", "positive", "negative", "one-point", "huge")
+    cases = []
+    for i in range(200):
+        spec = _grid_spec(rng, kinds[i % len(kinds)])
+        t = repr(round(rng.uniform(0.3, 8.0), 4))
+        cases += [
+            ["density", "--t", t, f"--x-grid={spec}"],
+            ["density", "--n", str(rng.randint(2, 4)), "--t", t, f"--x-grid={spec}"],
+            ["mgf", "--n", str(rng.randint(1, 4)), "--t", t, f"--s-grid={spec}"],
+        ]
+    swept = [_run_quiet(argv) for argv in cases]
+    monkeypatch.setattr(processes, "even_sweep", lambda f, xs: [f(x) for x in xs])
+    for argv, got in zip(cases, swept):
+        assert got == _run_quiet(argv), argv
+    # the cases reach both results and refusals
+    assert {code for code, _, _ in swept} == {0, 2}
+
+
+def test_symmetric_density_grid_takes_half_the_log_gammas(log_gamma_counter):
+    # 21 points with 11 distinct |x|, plus log Gamma(t)
+    for argv in (
+        ["density", "--t", "2", "--x-grid=-1:1:1/10"],
+        ["density", "--n", "2", "--t", "2", "--x-grid=-1:1:1/10"],
+    ):
+        log_gamma_counter.clear()
+        with redirect_stdout(io.StringIO()):
+            assert cli_main(argv) == 0
+        assert len(log_gamma_counter) == 12, argv
+
+
+def test_symmetric_mgf_grid_takes_half_the_evaluations(monkeypatch):
+    calls = []
+
+    def counting(n, s, t):
+        calls.append(s)
+        return mgf_eval(n, s, t)
+
+    monkeypatch.setattr(processes, "mgf_eval", counting)
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(["mgf", "--n", "2", "--t", "1", "--s-grid=-0.3:0.3:0.1"]) == 0
+    assert calls == [-0.3, -0.2, -0.1, 0.0]
+
+
+def test_sweep_refuses_at_the_first_failing_point():
+    code, out, err = _run_quiet(["mgf", "--n", "1", "--t", "1000", "--s-grid=-40:40:40"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("the MGF at s=-40.0, ")
+
+
+def test_even_sweep_stores_nothing_beside_its_result():
+    xs = [float(i) for i in range(1, 10**5 + 1)]
+    tracemalloc.start()
+    try:
+        values = even_sweep(lambda x: x * 0.5, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values)
+    assert peak <= returned + 64 * 1024
 
 
 @pytest.mark.parametrize("t", [0.3, 2.0, 8.0])
