@@ -278,8 +278,9 @@ class SecantDensity:
     The terms free of x, (t-1) log 2 - log 2 pi and log Gamma(t), are
     computed once; each point then takes one log-Gamma a = log Gamma((t+ix)/2),
     since log Gamma((t-ix)/2) is its conjugate, bit for bit.  For the same
-    reason the value at -x is the value at x, bit for bit, and -x fails exactly
-    where x does; `even_sweep` reuses it on a grid that holds both.
+    reason the value at -x is the value at x, bit for bit, and a call raises
+    at -x exactly when it raises at x; `even_sweep` reuses the value on a grid
+    that holds both.
 
     The tail of p_t decays like x^(t-1) exp(-pi x / 2); past the returned
     cutoff the discarded mass is below the requested epsilon.
