@@ -14,10 +14,17 @@ annihilation degree of the pending factor strictly decreases along both
 branches, so reduction terminates; the result is a linear combination of
 creator monomials applied to Phi with mu-polynomial coefficients.
 
-Each reduction memoizes the action of B[n,k](f) on a creator monomial, keyed
-on (n, k, f, monomial), for as long as the reduction runs.  Its step count
-is the number of such actions actually computed, so repeated sub-reductions
-cost one dict lookup and no step.
+Each reduction interns its test functions: a function gets an int id the
+first time the reduction sees it, as a factor of the word or as a product.
+Inside the reduction a creator is an (m, id) pair, and the action of
+B[n,k](f) on a creator monomial is memoized on (n, k, id, monomial), a tuple
+of ints, for as long as the reduction runs.  Products are keyed by the
+unordered pair of ids, so f g and g f are one product and one id.  The step
+count is the number of actions actually computed, so repeated
+sub-reductions cost one dict lookup and no step.  The recursion commutes a
+factor past the creator with the largest (m, id), so the step count depends
+on the order in which the functions were first seen; the result does not.
+It is returned with each monomial's creators in (m, sort key) order.
 
 Truncated (order n >= 1): states live in the number-vector basis
 {(B[n,0])^k Phi} and only the three generators of the order-n algebra act:
@@ -33,8 +40,7 @@ factor is rejected rather than guessed.
 
 from __future__ import annotations
 
-import functools
-import operator
+from bisect import bisect_right
 from fractions import Fraction
 
 from .algebra import RHPWN, GeneratorIndex, order_constants
@@ -141,68 +147,107 @@ class VacuumState:
     __repr__ = __str__
 
 
+def _creator_key(creator):
+    """The order of creators within a printed or returned monomial."""
+    m, fn = creator
+    return m, fn.sort_key()
+
+
 def _mono_sort_key(mono):
-    return tuple((m, fn.sort_key()) for m, fn in mono)
-
-
-def _insert_creator(mono, m, fn):
-    out = list(mono)
-    out.append((m, fn))
-    out.sort(key=lambda p: (p[0], p[1].sort_key()))
-    return tuple(out)
+    return tuple(map(_creator_key, mono))
 
 
 def reduce_untruncated_with_stats(word: Word):
     """Normal form of `word` applied to Phi, plus the rewrite-step count.
 
-    The step count is the memo's miss count: the distinct sub-reductions
-    computed.  The memo's result dicts are shared and only ever read.  Each
-    product fn * g is also computed once, so equal products are one object.
+    Each distinct test function gets an int id the first time the reduction
+    sees it, so inside the recursion a monomial is a sorted tuple of
+    (m, id) pairs and the memo keys on (n, k, id, monomial): tuples of ints.
+    Each product is computed once per unordered pair of ids, so f g and g f
+    share one product and one memo entry.  The step count is the memo's
+    miss count, the distinct sub-reductions computed.  The rightmost
+    creator of a monomial is the one with the largest (m, id), so the path
+    the recursion takes, and with it the step count, depends on the order
+    in which the functions were first seen; the state does not.  The memo's
+    result dicts are shared and only ever read.
     """
-    product = functools.cache(operator.mul)
+    ids = {}  # test function -> id
+    fns = []  # id -> test function
+    products = {}  # (i, j) with i <= j -> id of fns[i] * fns[j]
+    memo = {}  # (n, k, id, monomial) -> {monomial: MuPoly}
 
-    @functools.cache
-    def apply(n, k, fn, mono):
-        """Apply B[n,k](fn) to one creator monomial; returns {monomial: MuPoly}."""
+    def intern(fn):
+        i = ids.get(fn)
+        if i is None:
+            i = ids[fn] = len(fns)
+            fns.append(fn)
+        return i
+
+    def product(i, j):
+        pair = (i, j) if i <= j else (j, i)
+        p = products.get(pair)
+        if p is None:
+            p = products[pair] = intern(fns[pair[0]] * fns[pair[1]])
+        return p
+
+    def with_creator(mono, creator):
+        at = bisect_right(mono, creator)
+        return mono[:at] + (creator,) + mono[at:]
+
+    def apply(n, k, i, mono):
+        """Apply B[n,k](fns[i]) to one monomial; returns {monomial: MuPoly}."""
+        key = (n, k, i, mono)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        fn = fns[i]
         if fn.is_zero or n < 0 or k < 0:
-            return {}
-        if n == 0 and k == 0:
+            out = {}
+        elif n == 0 and k == 0:
             # B[0,0](f) is central and acts as the scalar integral of f.
-            return {mono: fn.integral_mu()}
-        if k == 0:
-            return {_insert_creator(mono, n, fn): MuPoly.one()}
-        if not mono:
+            out = {mono: fn.integral_mu()}
+        elif k == 0:
+            out = {with_creator(mono, (n, i)): MuPoly.one()}
+        elif not mono:
             if n < k:
-                return {}
-            if n == k:
-                return {(): fn.integral_mu().scaled(Fraction(1, n + 1))}
-            return {((n - k, fn),): MuPoly.one()}
-        m, g = mono[-1]
-        rest = mono[:-1]
-        out = {}
-        # Direct term: slide the factor past the creator, then restore it.
-        for mono2, coeff in apply(n, k, fn, rest).items():
-            key = _insert_creator(mono2, m, g)
-            out[key] = out.get(key, MuPoly.zero()) + coeff
-        # Bracket term: [B[n,k], B[m,0]] = k m B[n+m-1, k-1](fn g).
-        const = k * m
-        for mono2, coeff in apply(n + m - 1, k - 1, product(fn, g), rest).items():
-            out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(const)
+                out = {}
+            elif n == k:
+                out = {(): fn.integral_mu().scaled(Fraction(1, n + 1))}
+            else:
+                out = {((n - k, i),): MuPoly.one()}
+        else:
+            creator = mono[-1]
+            m, j = creator
+            rest = mono[:-1]
+            out = {}
+            # Direct term: slide the factor past the creator, then restore it.
+            for mono2, coeff in apply(n, k, i, rest).items():
+                key2 = with_creator(mono2, creator)
+                out[key2] = out.get(key2, MuPoly.zero()) + coeff
+            # Bracket term: [B[n,k], B[m,0]] = k m B[n+m-1, k-1](fn g).
+            const = k * m
+            for mono2, coeff in apply(n + m - 1, k - 1, product(i, j), rest).items():
+                out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(const)
+        memo[key] = out
         return out
 
     terms = {(): MuPoly.one()}
     for idx, fn in reversed(tuple(word)):
+        i = intern(fn)
         out = {}
         for mono, coeff in terms.items():
-            for mono2, c2 in apply(idx.n, idx.k, fn, mono).items():
+            for mono2, c2 in apply(idx.n, idx.k, i, mono).items():
                 out[mono2] = out.get(mono2, MuPoly.zero()) + coeff * c2
         terms = {mono: c for mono, c in out.items() if not c.is_zero}
         if not terms:
             break
-    steps = apply.cache_info().misses
-    apply.cache_clear()  # `apply` refers to itself: free the memo now, not at GC
-    product.cache_clear()
-    return VacuumState(terms), steps
+    steps = len(memo)
+    memo.clear()  # the largest structure here: free it before the state is built
+    state = VacuumState({
+        tuple(sorted(((m, fns[i]) for m, i in mono), key=_creator_key)): c
+        for mono, c in terms.items()
+    })
+    return state, steps
 
 
 def reduce_untruncated(word: Word) -> VacuumState:

@@ -214,7 +214,8 @@ class StepFunction:
         return not self.rows
 
     def sort_key(self):
-        # Cached, as the hash is: the rewrite engine sorts creators by it.
+        # Cached, as the hash is: the creators of every monomial of a
+        # reduction's result are sorted by it.
         if self._sort_key is None:
             _set_sort_key(self, (1, tuple((a, b, c.re, c.im) for a, b, c in self.pieces)))
         return self._sort_key
@@ -226,7 +227,7 @@ class StepFunction:
 
     def __hash__(self):
         # Cached on first use: most step functions are never hashed, while
-        # the rewrite memo hashes the same few over and over.
+        # a reduction's result hashes the same few in every monomial key.
         if self._hash is None:
             _set_hash(self, hash(self.rows))
         return self._hash

@@ -12,7 +12,7 @@ from rhpwn.algebra import order_constants
 from rhpwn.errors import DomainError, SchemaError, TagMismatchError, UnsupportedGeneratorError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.processes import SecantDensity, _inside_pole, _w_closed_form, quad
-from rhpwn.rewrite import Word, reduce_truncated
+from rhpwn.rewrite import VacuumState, Word, reduce_truncated
 from rhpwn.scalars import QC_ZERO, ComplexRational, parse_fraction
 from rhpwn.series import series_exp, series_log
 from rhpwn.stepfn import CHI, SymbolicIndicator
@@ -119,6 +119,63 @@ def step_bound(word: Word) -> int:
     length = len(word)
     exponent = sum(idx.k + 1 for idx, _ in word)
     return length * (length + 1) ** exponent + 1
+
+
+def _insert_creator(mono, m, fn):
+    """`mono` with the creator B[m,0](fn) added, creators in (m, sort key) order."""
+    return tuple(sorted(mono + ((m, fn),), key=lambda p: (p[0], p[1].sort_key())))
+
+
+class UnmemoizedReducer:
+    """The untruncated recursion without a memo or interning: every
+    sub-reduction is a step, and the rightmost creator of a monomial is the
+    last one in (m, sort key) order.
+
+    `mixed_firings` counts the applications of the mixed vacuum rule
+    B[n,k] Phi = B[n-k,0] Phi with k >= 1 and n - k >= 2, the rule that is
+    not compatible with the involution.
+    """
+
+    def __init__(self):
+        self.steps = 0
+        self.mixed_firings = 0
+
+    def apply_generator(self, n, k, fn, mono):
+        self.steps += 1
+        if fn.is_zero or n < 0 or k < 0:
+            return {}
+        if n == 0 and k == 0:
+            return {mono: fn.integral_mu()}
+        if k == 0:
+            return {_insert_creator(mono, n, fn): MuPoly.one()}
+        if not mono:
+            if n < k:
+                return {}
+            if n == k:
+                return {(): fn.integral_mu().scaled(Fraction(1, n + 1))}
+            self.mixed_firings += n - k >= 2
+            return {((n - k, fn),): MuPoly.one()}
+        m, g = mono[-1]
+        rest = mono[:-1]
+        out = {}
+        for mono2, coeff in self.apply_generator(n, k, fn, rest).items():
+            key = _insert_creator(mono2, m, g)
+            out[key] = out.get(key, MuPoly.zero()) + coeff
+        for mono2, coeff in self.apply_generator(n + m - 1, k - 1, fn * g, rest).items():
+            out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(k * m)
+        return out
+
+    def reduce(self, word):
+        terms = {(): MuPoly.one()}
+        for idx, fn in reversed(tuple(word)):
+            out = {}
+            for mono, coeff in terms.items():
+                for mono2, c2 in self.apply_generator(idx.n, idx.k, fn, mono).items():
+                    out[mono2] = out.get(mono2, MuPoly.zero()) + coeff * c2
+            terms = {mono: c for mono, c in out.items() if not c.is_zero}
+            if not terms:
+                break
+        return VacuumState(terms)
 
 
 def value_at(f, t) -> ComplexRational:

@@ -77,6 +77,18 @@ def test_vacuum_moment(monkeypatch):
     assert json.loads(text) == {"mu_poly": ["0", "4"]}
 
 
+@pytest.mark.parametrize("word", [
+    [{"n": 0, "k": 1}, {"n": 1, "k": 0, "function": [{"a": "0", "b": "1", "re": "1"}]}],
+    [{"n": 0, "k": 1, "function": [{"a": "0", "b": "1", "re": "1"}]}, {"n": 1, "k": 0}],
+], ids=["chi-left", "chi-right"])
+def test_vacuum_moment_refuses_a_product_of_chi_and_a_step_function(word, capsys, monkeypatch):
+    code, text = run_cli(["vacuum-moment"], json.dumps(word), monkeypatch)
+    assert code == 2 and text == ""
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "cannot mix symbolic chi_I with concrete step functions"
+    }
+
+
 def test_kernel_output():
     code, text = run_cli(["kernel", "--n", "2", "--k", "2"])
     obj = json.loads(text)

@@ -1,5 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -7,8 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mupoly_to_sympy, rand_coeff, rand_step_function
-from oracles import kernel_bruteforce, state_in_number_basis, step_bound
-from rhpwn.errors import UnsupportedGeneratorError
+from oracles import (
+    UnmemoizedReducer,
+    encode_word,
+    kernel_bruteforce,
+    state_in_number_basis,
+    step_bound,
+)
+from rhpwn.errors import TagMismatchError, UnsupportedGeneratorError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import (
     VacuumState,
@@ -17,10 +29,10 @@ from rhpwn.rewrite import (
     reduce_untruncated,
     reduce_untruncated_with_stats,
     vacuum_expectation,
-    _insert_creator,
 )
-from rhpwn.algebra import WINFTY, GeneratorIndex
+from rhpwn.algebra import RHPWN, WINFTY, GeneratorIndex
 from rhpwn.fock import kernel_values
+from rhpwn.scalars import ComplexRational
 from rhpwn.stepfn import CHI, StepFunction
 
 
@@ -102,56 +114,6 @@ def test_termination_step_bound():
         assert steps <= step_bound(w)
 
 
-class UnmemoizedReducer:
-    """The untruncated recursion without a memo: every sub-reduction is a step.
-
-    `mixed_firings` counts the applications of the mixed vacuum rule
-    B[n,k] Phi = B[n-k,0] Phi with k >= 1 and n - k >= 2, the rule that is
-    not compatible with the involution.
-    """
-
-    def __init__(self):
-        self.steps = 0
-        self.mixed_firings = 0
-
-    def apply_generator(self, n, k, fn, mono):
-        self.steps += 1
-        if fn.is_zero or n < 0 or k < 0:
-            return {}
-        if n == 0 and k == 0:
-            return {mono: fn.integral_mu()}
-        if k == 0:
-            return {_insert_creator(mono, n, fn): MuPoly.one()}
-        if not mono:
-            if n < k:
-                return {}
-            if n == k:
-                return {(): fn.integral_mu().scaled(Fraction(1, n + 1))}
-            self.mixed_firings += n - k >= 2
-            return {((n - k, fn),): MuPoly.one()}
-        m, g = mono[-1]
-        rest = mono[:-1]
-        out = {}
-        for mono2, coeff in self.apply_generator(n, k, fn, rest).items():
-            key = _insert_creator(mono2, m, g)
-            out[key] = out.get(key, MuPoly.zero()) + coeff
-        for mono2, coeff in self.apply_generator(n + m - 1, k - 1, fn * g, rest).items():
-            out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(k * m)
-        return out
-
-    def reduce(self, word):
-        terms = {(): MuPoly.one()}
-        for idx, fn in reversed(tuple(word)):
-            out = {}
-            for mono, coeff in terms.items():
-                for mono2, c2 in self.apply_generator(idx.n, idx.k, fn, mono).items():
-                    out[mono2] = out.get(mono2, MuPoly.zero()) + coeff * c2
-            terms = {mono: c for mono, c in out.items() if not c.is_zero}
-            if not terms:
-                break
-        return VacuumState(terms)
-
-
 def overlapping_indicators(rng):
     """3-6 rational indicators on [0, 3) that overlap one another."""
     out = []
@@ -196,26 +158,139 @@ def long_creator_annihilator_word():
 def test_memoized_reduction_of_long_creator_annihilator_word():
     steps, reference_steps = assert_memo_matches_reference(long_creator_annihilator_word())
     assert steps < reference_steps
-    assert steps == 3102
+    assert steps == 3001
 
 
 def test_each_product_of_test_functions_is_computed_once(monkeypatch):
-    # The memo misses 3102 times, but each ordered pair (fn, g) of the
-    # bracket term is multiplied once.
+    # The memo misses 3001 times, but each unordered pair {fn, g} of the
+    # bracket term is multiplied once: fn g and g fn share one product.
     w = long_creator_annihilator_word()
     pairs = []
     mul = StepFunction.__mul__
 
     def counted(self, other):
-        pairs.append((self, other))
+        pairs.append(frozenset((self, other)))
         return mul(self, other)
 
     monkeypatch.setattr(StepFunction, "__mul__", counted)
     state, steps = reduce_untruncated_with_stats(w)
     monkeypatch.undo()
-    assert steps == 3102
+    assert steps == 3001
     assert pairs and len(pairs) == len(set(pairs))
     assert state == UnmemoizedReducer().reduce(w)
+
+
+def test_memo_is_freed_before_the_state_is_built():
+    # The memo is the largest structure of a reduction.  Held while the
+    # result is mapped back to step functions, it peaks at about 1.59 MB on
+    # this word; cleared first, at about 1.12 MB.  The first reduction of a
+    # process also fills the interpreter's free lists, so it is not traced.
+    reduce_untruncated_with_stats(long_creator_annihilator_word())
+    w = long_creator_annihilator_word()
+    tracemalloc.start()
+    try:
+        reduce_untruncated_with_stats(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_400_000
+
+
+def _differential_pool():
+    f = StepFunction.indicator(0, 1, ComplexRational(1, 1))
+    g = StepFunction.indicator(Fraction(1, 2), 2, Fraction(1, 2))
+    h = StepFunction([(-1, 0, 2), (0, Fraction(3, 2), ComplexRational(0, -1))])
+    return [
+        f,
+        g,
+        h,
+        StepFunction.indicator(0, 1, ComplexRational(1, 1)),  # equal to f, another object
+        f.conjugate(),
+        h.conjugate(),
+        StepFunction.zero(),
+        StepFunction.indicator(-2, -1, 3),  # disjoint from the others: zero products
+    ]
+
+
+_POOL = _differential_pool()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, len(_POOL) - 1)),
+    min_size=1, max_size=6,
+))
+def test_interned_reduction_matches_reference(factors):
+    # Words drawn from the pool see its functions first in every order, so
+    # the ids the reduction hands out run both with and against the sort
+    # key order the result is printed in.  The step count is not compared
+    # with the reference's: the id order can take a path a step or two
+    # longer than the sort key order on some words.
+    w = Word([(GeneratorIndex(RHPWN, n, k), _POOL[i]) for n, k, i in factors])
+    state, steps = reduce_untruncated_with_stats(w)
+    expected = UnmemoizedReducer().reduce(w)
+    assert state == expected
+    assert str(state) == str(expected)
+    assert steps <= step_bound(w)
+
+
+def test_creators_are_ordered_by_sort_key_not_by_first_sight():
+    f = StepFunction.indicator(0, 1)
+    g = StepFunction.indicator(1, 2)
+    state, steps = reduce_untruncated_with_stats(
+        Word([(GeneratorIndex(RHPWN, 1, 0), f), (GeneratorIndex(RHPWN, 1, 0), g)])
+    )
+    assert str(state) == "(1) B[1,0]((1)*chi[0,1)) B[1,0]((1)*chi[1,2)) Phi"
+    assert steps == 2
+
+
+def test_creator_word_mixing_chi_and_step_functions():
+    # Creators only, so no product is formed: chi_I and a concrete function
+    # may share a monomial, ordered by (m, sort key) with chi_I first.
+    w = Word([
+        (GeneratorIndex(RHPWN, 1, 0), StepFunction.indicator(0, 1)),
+        (GeneratorIndex(RHPWN, 1, 0), CHI),
+        (GeneratorIndex(RHPWN, 2, 0), CHI),
+    ])
+    state, steps = reduce_untruncated_with_stats(w)
+    assert str(state) == "(1) B[1,0](chi_I) B[1,0]((1)*chi[0,1)) B[2,0](chi_I) Phi"
+    assert steps == 3
+    assert state == UnmemoizedReducer().reduce(w)
+
+
+@pytest.mark.parametrize("chi_first", [True, False])
+def test_product_of_chi_and_a_step_function_is_refused(chi_first):
+    f = StepFunction.indicator(0, 1)
+    left, right = (CHI, f) if chi_first else (f, CHI)
+    w = Word([(GeneratorIndex(RHPWN, 0, 1), left), (GeneratorIndex(RHPWN, 1, 0), right)])
+    with pytest.raises(TagMismatchError, match="cannot mix symbolic chi_I with concrete step functions"):
+        reduce_untruncated_with_stats(w)
+
+
+def test_reduction_does_not_depend_on_the_hash_seed():
+    # Ids follow the order the functions are first seen, never a hash.
+    payload = json.dumps(encode_word(Word(
+        [(GeneratorIndex(RHPWN, n, k), _POOL[i])
+         for n, k, i in ((0, 2, 4), (2, 1, 0), (1, 0, 2), (1, 0, 3), (2, 0, 1), (1, 0, 5))]
+    )))
+    script = (
+        "import json, sys\n"
+        "from rhpwn import jsonio\n"
+        "from rhpwn.rewrite import reduce_untruncated_with_stats\n"
+        "state, steps = reduce_untruncated_with_stats(jsonio.decode_word(json.load(sys.stdin)))\n"
+        "print(steps)\n"
+        "print(state)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run([sys.executable, "-c", script], input=payload, env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    steps, text = outputs[0].split("\n", 1)
+    assert int(steps) > 0 and text.strip() not in ("", "0")
 
 
 @pytest.mark.xfail(
