@@ -53,7 +53,6 @@ from .processes import (
     SplittingSolution,
     classical_check,
     complex_log_gamma,
-    density_p,
     mgf_eval,
     riccati_split,
     sample_X,

@@ -286,17 +286,13 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _kv_rows(obj, prefix=""):
-    rows = []
-    for key, value in obj.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rows.extend(_kv_rows(value, prefix=f"{name}."))
-        elif isinstance(value, list):
-            rows.append((name, _csv_cell(";".join(str(v) for v in value))))
-        else:
-            rows.append((name, _csv_cell(value)))
-    return rows
+def _kv_rows(obj):
+    """One (key, value) row per entry of a flat object; a list value is one
+    cell, its items joined by ";"."""
+    return [
+        (key, _csv_cell(";".join(map(str, value)) if isinstance(value, list) else value))
+        for key, value in obj.items()
+    ]
 
 
 def _gram_rows(obj):

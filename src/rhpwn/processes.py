@@ -242,10 +242,8 @@ def complex_log_gamma(z: complex) -> complex:
 
 
 def density_p(t: float, x: float) -> float:
-    """Density with MGF (sec s)^t:
-    p_t(x) = (2^(t-1)/(2 pi)) Gamma((t+ix)/2) Gamma((t-ix)/2) / Gamma(t).
-
-    One point of `SecantDensity(t)`, which holds the terms free of x."""
+    """One point of `SecantDensity(t)`.  Nothing in the package calls it; it
+    stays because the benchmark's traced pass counts calls to it by name."""
     return SecantDensity(t)(x)
 
 
@@ -273,7 +271,10 @@ MAX_DENSITY_T = 1e4
 
 
 class SecantDensity:
-    """p_t with a certified tail cutoff, for 0 < t <= MAX_DENSITY_T.
+    """p_t, the density with MGF (sec s)^t, with a certified tail cutoff, for
+    0 < t <= MAX_DENSITY_T:
+
+        p_t(x) = (2^(t-1)/(2 pi)) Gamma((t+ix)/2) Gamma((t-ix)/2) / Gamma(t).
 
     The terms free of x, (t-1) log 2 - log 2 pi and log Gamma(t), are
     computed once; each point then takes one log-Gamma a = log Gamma((t+ix)/2),
@@ -441,9 +442,10 @@ def classical_check(coeffs, horizon) -> ClassicalityReport:
 
     Self-adjointness needs c_{n,k} = conj(c_{k,n}) for every index pair.
     Commutation [x(t), x(s)] = 0 holds for every family: each pair of terms
-    cancels under the swap of its two factors, so only the Hermitian test can
-    fail and the verdict does not depend on the horizon.  Horizon times must
-    still be positive.  On failure the witness names the offending pair.
+    cancels under the swap of its two factors, so `commuting` is always
+    true, only the Hermitian test can fail and the verdict does not depend on
+    the horizon.  Horizon times must still be positive.  On failure the
+    witness names the offending pair.
     """
     table = {}
     for (n, k), value in coeffs.items():
@@ -462,6 +464,6 @@ def classical_check(coeffs, horizon) -> ClassicalityReport:
                 f"c[{n},{k}] = {value} but conj(c[{k},{n}]) = {mirror.conjugate()}"
             )
             return ClassicalityReport(
-                classical=False, hermitian=False, commuting=False, witness=witness
+                classical=False, hermitian=False, commuting=True, witness=witness
             )
     return ClassicalityReport(classical=True, hermitian=True, commuting=True, witness=None)

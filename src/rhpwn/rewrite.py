@@ -24,7 +24,9 @@ count is the number of actions actually computed, so repeated
 sub-reductions cost one dict lookup and no step.  The recursion commutes a
 factor past the creator with the largest (m, id), so the step count depends
 on the order in which the functions were first seen; the result does not.
-It is returned with each monomial's creators in (m, sort key) order.
+It is returned with each monomial's creators in (m, sort key) order: the
+ids that survive in the result are ranked once by the sort key of their
+function, and each monomial is sorted by (m, rank).
 
 Truncated (order n >= 1): states live in the number-vector basis
 {(B[n,0])^k Phi} and only the three generators of the order-n algebra act:
@@ -113,13 +115,6 @@ class VacuumState:
     def __setattr__(self, name, value):
         raise AttributeError("VacuumState is immutable")
 
-    @classmethod
-    def vacuum(cls) -> "VacuumState":
-        return cls({(): MuPoly.one()})
-
-    def coefficient(self, mono) -> MuPoly:
-        return self.terms.get(tuple(mono), MuPoly.zero())
-
     @property
     def phi_coefficient(self) -> MuPoly:
         return self.terms.get((), MuPoly.zero())
@@ -147,14 +142,9 @@ class VacuumState:
     __repr__ = __str__
 
 
-def _creator_key(creator):
-    """The order of creators within a printed or returned monomial."""
-    m, fn = creator
-    return m, fn.sort_key()
-
-
 def _mono_sort_key(mono):
-    return tuple(map(_creator_key, mono))
+    """The order of the printed monomials."""
+    return tuple((m, fn.sort_key()) for m, fn in mono)
 
 
 def reduce_untruncated_with_stats(word: Word):
@@ -243,8 +233,14 @@ def reduce_untruncated_with_stats(word: Word):
             break
     steps = len(memo)
     memo.clear()  # the largest structure here: free it before the state is built
+    # Rank the surviving ids by sort key, one key per function: ids are
+    # value-distinct and the key tells distinct functions apart, so sorting
+    # a monomial by (m, rank) sorts it by (m, sort key).
+    ranked = sorted({i for mono in terms for _, i in mono}, key=lambda i: fns[i].sort_key())
+    rank = {i: r for r, i in enumerate(ranked)}
+    by_rank = [fns[i] for i in ranked]
     state = VacuumState({
-        tuple(sorted(((m, fns[i]) for m, i in mono), key=_creator_key)): c
+        tuple((m, by_rank[r]) for m, r in sorted((m, rank[i]) for m, i in mono)): c
         for mono, c in terms.items()
     })
     return state, steps

@@ -41,15 +41,3 @@ def series_exp(a, order: int):
         b[m] = acc.scaled(Fraction(1, m))
     return b
 
-
-def series_log(a, order: int):
-    """log of a series with constant term 1 (m a_m = sum j b_j a_{m-j})."""
-    if not a or a[0] != MuPoly.one():
-        raise ValueError("series_log needs constant term 1")
-    b = [MuPoly.zero()] * (order + 1)
-    for m in range(1, order + 1):
-        acc = MuPoly.zero()
-        for j in range(1, m):
-            acc = acc + b[j].scaled(j) * _coeff(a, m - j)
-        b[m] = _coeff(a, m) - acc.scaled(Fraction(1, m))
-    return b

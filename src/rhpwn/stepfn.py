@@ -12,8 +12,9 @@ every denominator positive and every ratio in lowest terms (for the
 coefficient, gcd(re, im, den) = 1), so equal functions have equal rows.
 Each piece keeps its own denominators: over one common denominator per
 function, the numerators of a many-piece function would grow with every
-coprime denominator in it.  `pieces` is the read-only public view as
-(Fraction, Fraction, ComplexRational), built on first use.
+coprime denominator in it.  The rows are all a function holds: `pieces`,
+the read-only public view as (Fraction, Fraction, ComplexRational), the
+hash and the sort key are built from them on each use.
 
 Test functions vanish at zero, so 0 is a cut point of every one of them: a
 nonzero input piece with a < 0 < b is refused, and canonicalization (sorting
@@ -124,10 +125,10 @@ def _merged(rows) -> tuple:
 class StepFunction:
     """Immutable, canonical piecewise-constant function on the line."""
 
-    __slots__ = ("rows", "_pieces", "_hash", "_sort_key")
+    __slots__ = ("rows",)
 
     def __init__(self, pieces=()):
-        _init(self, _validated(
+        _set_rows(self, _validated(
             (read_rational(a), read_rational(b), gaussian(c)) for a, b, c in pieces
         ))
 
@@ -203,22 +204,20 @@ class StepFunction:
     def pieces(self) -> tuple:
         """The pieces as (a, b, c): Fraction endpoints and a ComplexRational
         coefficient with int parts where they are integral."""
-        if self._pieces is None:
-            _set_pieces(self, tuple(
-                (Fraction(*a), Fraction(*b), from_gaussian(*c)) for a, b, c in self.rows
-            ))
-        return self._pieces
+        return tuple((Fraction(*a), Fraction(*b), from_gaussian(*c)) for a, b, c in self.rows)
 
     @property
     def is_zero(self) -> bool:
         return not self.rows
 
     def sort_key(self):
-        # Cached, as the hash is: the creators of every monomial of a
-        # reduction's result are sorted by it.
-        if self._sort_key is None:
-            _set_sort_key(self, (1, tuple((a, b, c.re, c.im) for a, b, c in self.pieces)))
-        return self._sort_key
+        """Orders functions piece by piece on the values (a, b, re, im), each
+        after `CHI`, whose key is (0, ()); distinct functions have distinct
+        keys."""
+        return (1, tuple(
+            (Fraction(*a), Fraction(*b), Fraction(re, den), Fraction(im, den))
+            for a, b, (re, im, den) in self.rows
+        ))
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -226,11 +225,7 @@ class StepFunction:
         return self.rows == other.rows
 
     def __hash__(self):
-        # Cached on first use: most step functions are never hashed, while
-        # a reduction's result hashes the same few in every monomial key.
-        if self._hash is None:
-            _set_hash(self, hash(self.rows))
-        return self._hash
+        return hash(self.rows)
 
     def __str__(self):
         if not self.rows:
@@ -240,25 +235,15 @@ class StepFunction:
     __repr__ = __str__
 
 
-# Slot setters: `__setattr__` refuses every write from outside the module.
+# The slot setter: `__setattr__` refuses every write from outside the module.
 _new = object.__new__
 _set_rows = StepFunction.rows.__set__
-_set_pieces = StepFunction._pieces.__set__
-_set_hash = StepFunction._hash.__set__
-_set_sort_key = StepFunction._sort_key.__set__
-
-
-def _init(fn, rows):
-    _set_rows(fn, rows)
-    _set_pieces(fn, None)
-    _set_hash(fn, None)
-    _set_sort_key(fn, None)
 
 
 def _make(rows) -> StepFunction:
     """A StepFunction from rows already in canonical form."""
     fn = _new(StepFunction)
-    _init(fn, rows)
+    _set_rows(fn, rows)
     return fn
 
 

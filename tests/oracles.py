@@ -7,14 +7,15 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
+import sympy
+
 from rhpwn import jsonio
 from rhpwn.algebra import order_constants
 from rhpwn.errors import DomainError, SchemaError, TagMismatchError, UnsupportedGeneratorError
-from rhpwn.mupoly import MU, MuPoly
+from rhpwn.mupoly import MuPoly
 from rhpwn.processes import SecantDensity, _inside_pole, _w_closed_form, quad
 from rhpwn.rewrite import VacuumState, Word, reduce_truncated
 from rhpwn.scalars import QC_ZERO, ComplexRational, parse_fraction
-from rhpwn.series import series_exp, series_log
 from rhpwn.stepfn import CHI, SymbolicIndicator
 
 
@@ -52,26 +53,24 @@ def w_eval(n: int, s: float, mu: float) -> float:
 
 
 def mgf_series(n: int, order: int):
-    """Exact Taylor coefficients in s of the MGF, mu standing for t, from the
-    cosine series and series log/exp: not the Riccati or rewrite route."""
+    """Exact Taylor coefficients in s of the MGF through s^order, mu standing
+    for t, as MuPolys: sympy's series of exp(mu s^2 / 2) for n = 1 and of
+    exp(-(n/c) mu log cos(sqrt(c) s)), c = n^3 (n-1)/2, for n >= 2.  Neither
+    the Riccati and rewrite routes nor the package's series code."""
     if n < 1:
         raise DomainError(f"Fock order must be >= 1, got {n}")
+    s, mu = sympy.symbols("s mu")
     if n == 1:
-        half_sq = [MuPoly.zero(), MuPoly.zero(), MU.scaled(Fraction(1, 2))]
-        return series_exp(half_sq, order)
-    beta = order_constants(n)[1]
-    cos_series = []
+        mgf = sympy.exp(mu * s**2 / 2)
+    else:
+        c = sympy.Rational(n**3 * (n - 1), 2)
+        mgf = sympy.exp(-(n / c) * mu * sympy.log(sympy.cos(sympy.sqrt(c) * s)))
+    poly = sympy.expand(sympy.series(mgf, s, 0, order + 1).removeO())
+    out = []
     for j in range(order + 1):
-        if j % 2 == 0:
-            m = j // 2
-            coeff = (-1) ** m * beta**m * Fraction(1, math.factorial(j))
-            cos_series.append(MuPoly.constant(coeff))
-        else:
-            cos_series.append(MuPoly.zero())
-    log_cos = series_log(cos_series, order)
-    scale = -Fraction(n, beta)
-    w = [MU * c.scaled(scale) for c in log_cos]
-    return series_exp(w, order)
+        coeffs = reversed(sympy.Poly(poly.coeff(s, j), mu).all_coeffs())
+        out.append(MuPoly([Fraction(int(q.p), int(q.q)) for q in coeffs]))
+    return out
 
 
 MgfNumericCheck = namedtuple("MgfNumericCheck", "numeric closed_form rel_err")
@@ -239,6 +238,13 @@ def encode_word(word: Word) -> list:
 # -- the Fraction-based step function, a reference for the integer one --------
 
 
+def step_sort_key(fn):
+    """The order of step functions, read off the public pieces: piece by
+    piece, its endpoints and then the real and imaginary part of its
+    coefficient."""
+    return (1, tuple((a, b, c.re, c.im) for a, b, c in fn.pieces))
+
+
 class FractionStepFunction:
     """The engine's step function as it was with Fraction endpoints and
     ComplexRational coefficients: the reference for the integer one."""
@@ -338,7 +344,7 @@ class FractionStepFunction:
         return not self.pieces
 
     def sort_key(self):
-        return (1, tuple((a, b, c.re, c.im) for a, b, c in self.pieces))
+        return step_sort_key(self)
 
     def __eq__(self, other):
         if not isinstance(other, FractionStepFunction):

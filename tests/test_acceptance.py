@@ -38,7 +38,6 @@ from rhpwn.processes import (
     SecantDensity,
     SecantSampler,
     classical_check,
-    density_p,
     mgf_eval,
     sample_X,
     scaled_density,
@@ -237,13 +236,11 @@ def test_criterion_08_splitting_formula():
 def test_criterion_09_density_suite():
     for t in (0.5, 1.0, 2.0, 5.0):
         cutoff = SecantDensity(t).tail_cutoff(1e-12)
-        total, _ = quad(
-            lambda x: density_p(t, x), -cutoff, cutoff, limit=300, epsabs=1e-12
-        )
+        total, _ = quad(SecantDensity(t), -cutoff, cutoff, limit=300, epsabs=1e-12)
         assert abs(total - 1) < 1e-8
     for x in (0.0, 1.0, 2.0):
         expected = 1 / (2 * math.cosh(math.pi * x / 2))
-        assert abs(density_p(1.0, x) - expected) <= 1e-10 * expected
+        assert abs(SecantDensity(1.0)(x) - expected) <= 1e-10 * expected
     for s in (0.25, 0.75, 1.3):
         assert mgf_numeric_check(2.0, s).rel_err < 1e-6
     t = 1.5

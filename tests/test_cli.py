@@ -256,6 +256,18 @@ def test_classical_check_cli(monkeypatch):
     assert json.loads(text)["classical"] is False
 
 
+def test_classical_check_non_hermitian_family_commutes(monkeypatch):
+    # x(t) = (1+i) B[1,0](chi_[0,t)) is not Hermitian, but it commutes with
+    # itself at any two times.
+    payload = '{"coeffs":[{"n":1,"k":0,"re":"1","im":"1"}],"horizon":["1","3/2"]}'
+    code, text = run_cli(["classical-check"], payload, monkeypatch)
+    assert code == 0
+    assert text == (
+        '{\n  "classical": false,\n  "hermitian": false,\n  "commuting": true,\n'
+        '  "witness": "c[1,0] = 1+1i but conj(c[0,1]) = 0"\n}\n'
+    )
+
+
 def test_mgf_domain_error_exit_code(capsys):
     assert main(["mgf", "--n", "2", "--t", "1", "--s-grid", "0:1:0.5"]) == 2
 
@@ -795,9 +807,9 @@ _PINNED_DIGESTS = {
         "e5aea0c48c84f33c7807a9cb5de21708ec605f5e773fa7a247ad3aefb881fa02",
     ),
     "classical-check-witness": (
-        "8d48ac3fef8f99cbe0a56f0127a758105ffc100140968f422518d9243ae8d40c",
-        "8d48ac3fef8f99cbe0a56f0127a758105ffc100140968f422518d9243ae8d40c",
-        "9d7953a5792f5d35f14744514cbc859ea7f30669d493c4898909bbdbdfb5b2c5",
+        "e86bb7445b7b66499c6a5a49c7cb084eadd4400050d21903c2c9fd0562895e46",
+        "e86bb7445b7b66499c6a5a49c7cb084eadd4400050d21903c2c9fd0562895e46",
+        "e3e4ae14aad2116083846db2b2c9662c2fef40a17947b4e253b5384f04977314",
     ),
 }
 

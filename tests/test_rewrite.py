@@ -244,6 +244,34 @@ def test_creators_are_ordered_by_sort_key_not_by_first_sight():
     assert steps == 2
 
 
+def test_result_is_ordered_with_one_sort_key_per_function(monkeypatch):
+    # (B[0,1](g))^4 B[1,0](f_1) ... B[1,0](f_8) over 40-piece functions: the
+    # result has the 70 monomials of four creators out of eight, and its
+    # creators are put in order with one sort key per surviving function.
+    def forty_pieces(shift):
+        return StepFunction([(Fraction(j, 3), Fraction(j + 1, 3), (j + shift) % 11 + 1)
+                             for j in range(40)])
+
+    fs = [forty_pieces(i) for i in range(1, 9)]
+    w = Word([(GeneratorIndex(RHPWN, 0, 1), forty_pieces(0))] * 4
+             + [(GeneratorIndex(RHPWN, 1, 0), f) for f in fs])
+    keyed = []
+    sort_key = StepFunction.sort_key
+
+    def counted(self):
+        keyed.append(self)
+        return sort_key(self)
+
+    monkeypatch.setattr(StepFunction, "sort_key", counted)
+    state, _ = reduce_untruncated_with_stats(w)
+    monkeypatch.undo()
+    assert len(state.terms) == 70
+    assert len(keyed) == len(set(keyed)) <= len(fs)
+    for mono in state.terms:
+        assert list(mono) == sorted(mono, key=lambda c: (c[0], c[1].sort_key()))
+    assert state == UnmemoizedReducer().reduce(w)
+
+
 def test_creator_word_mixing_chi_and_step_functions():
     # Creators only, so no product is formed: chi_I and a concrete function
     # may share a monomial, ordered by (m, sort key) with chi_I first.

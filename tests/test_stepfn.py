@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_step_function, step_functions
-from oracles import FractionStepFunction, fraction_refinement, segments_as_fractions, value_at
+from oracles import (
+    FractionStepFunction,
+    fraction_refinement,
+    segments_as_fractions,
+    step_sort_key,
+    value_at,
+)
 from rhpwn.jsonio import encode_step_function
 from rhpwn.scalars import ComplexRational
 from rhpwn.stepfn import CHI, StepFunction, SymbolicIndicator, common_refinement
@@ -203,9 +209,20 @@ def test_integer_step_functions_match_the_fraction_reference(x, y, z, c):
     _assert_same(f.support_indicator(), rf.support_indicator())
     assert (f == g) == (rf == rg)
     assert f == StepFunction(rf.pieces) and hash(f) == hash(StepFunction(rf.pieces))
+    for fn in (f + g, f * g, f.scaled(c), f.conjugate()):
+        for rebuilt in (StepFunction(fn.pieces), StepFunction.from_rows(fn.rows[::-1])):
+            assert rebuilt == fn and hash(rebuilt) == hash(fn)
     if f == g:
         assert hash(f) == hash(g)
     assert segments_as_fractions(common_refinement([f, g, h])) == fraction_refinement([rf, rg, rh])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(reference_pairs().map(lambda pair: pair[0]), max_size=8))
+def test_sort_key_is_the_oracle_key(fns):
+    for fn in fns:
+        assert fn.sort_key() == step_sort_key(fn)
+    assert sorted(fns, key=StepFunction.sort_key) == sorted(fns, key=step_sort_key)
 
 
 def _primes(count):
