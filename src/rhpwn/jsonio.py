@@ -8,7 +8,9 @@ Wire formats (exact rationals are encoded as "p/q" strings):
   mu polynomial   {"mu_poly": ["c0", "c1", ...]}
 
 Decoders validate shape strictly (unknown fields rejected) and raise
-SchemaError carrying the JSON-pointer of the offending node.
+SchemaError carrying the JSON-pointer of the offending node.  The step
+function decoder reads each distinct string of a function once, through a
+table that lives for one call, and builds a pointer only when it raises.
 
 `write_json` is the one writer of the command line's JSON: the bytes the
 standard `json` module writes with indent=2, ASCII only, streamed, for dicts
@@ -35,9 +37,8 @@ from .stepfn import CHI, StepFunction
 def _require_object(value, pointer, required, optional=()):
     if not isinstance(value, dict):
         raise SchemaError(pointer, f"expected an object, got {type(value).__name__}")
-    allowed = set(required) | set(optional)
     for key in value:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise SchemaError(f"{pointer}/{key}", "unknown field")
     for key in required:
         if key not in value:
@@ -71,38 +72,69 @@ def _read_fraction(value, pointer) -> Fraction:
 # -- step functions ------------------------------------------------------------
 
 
+_PIECE_REQUIRED = ("a", "b", "re")
+_PIECE_FIELDS = frozenset(("a", "b", "re", "im"))
+
+
 def decode_step_function(value, pointer="") -> StepFunction:
     """The step function of a list of pieces, read as ints.
 
-    Each piece is read and its interval checked before the next is read; a
+    Each distinct string is read once per call: a table scoped to the call
+    maps each string read so far to its (num, den).  Only strings that read
+    go into it, so a refused string raises where it first occurs.  Each
+    piece is read and its interval checked before the next is read; a
     straddle or an overlap is reported once every piece has been read.
+    The JSON pointer of a piece or a field is built only to raise.
     """
-    here = pointer
+    items = _require_list(value, pointer)
+    table = {}  # str -> (num, den), the strings of this call that read
+    lookup = table.get
+    i = 0
+
+    def read(text):
+        pair = read_rational(text)
+        if type(text) is str:  # True == 1 and hashes alike: key on str only
+            table[text] = pair
+        return pair
 
     def rows():
-        nonlocal here
-        for i, item in enumerate(_require_list(value, pointer)):
-            here = f"{pointer}/{i}"
-            obj = _require_object(item, here, required=("a", "b", "re"), optional=("im",))
-            a = _read_rational(obj["a"], f"{here}/a")
-            b = _read_rational(obj["b"], f"{here}/b")
-            re = _read_rational(obj["re"], f"{here}/re")
-            im = _read_rational(obj.get("im", 0), f"{here}/im")
+        nonlocal i
+        for i, item in enumerate(items):
+            if not (type(item) is dict and _PIECE_FIELDS.issuperset(item)
+                    and "a" in item and "b" in item and "re" in item):
+                _require_object(item, f"{pointer}/{i}", _PIECE_REQUIRED, _PIECE_FIELDS)
+            try:
+                a, b, re, im = item["a"], item["b"], item["re"], item.get("im", "0")
+                a = lookup(a) or read(a)
+                b = lookup(b) or read(b)
+                re = lookup(re) or read(re)
+                im = lookup(im) or read(im)
+            except (TypeError, ValueError):
+                for key in ("a", "b", "re", "im"):  # raises at the refused field
+                    _read_rational(item.get(key, "0"), f"{pointer}/{i}/{key}")
+                raise
             yield a, b, gaussian_from_ratios(*re, *im)
 
     try:
         return StepFunction.from_rows(rows())
     except EmptyIntervalError as exc:
-        raise SchemaError(here, f"empty interval {exc.interval}") from None
+        raise SchemaError(f"{pointer}/{i}", f"empty interval {exc.interval}") from None
     except SchemaError:
         raise
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from exc
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """A ratio already in lowest terms as "p" or "p/q"."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 def encode_step_function(fn: StepFunction) -> list:
+    """The pieces of `fn`: its endpoints are stored reduced and written as
+    they are; each coefficient part is reduced over the shared denominator."""
     return [
-        {"a": rational_str(*a), "b": rational_str(*b),
+        {"a": _ratio_text(*a), "b": _ratio_text(*b),
          "re": rational_str(re, den), "im": rational_str(im, den)}
         for a, b, (re, im, den) in fn.rows
     ]

@@ -209,15 +209,15 @@ def reduce_untruncated_with_stats(word: Word):
             creator = mono[-1]
             m, j = creator
             rest = mono[:-1]
-            out = {}
             # Direct term: slide the factor past the creator, then restore it.
-            for mono2, coeff in apply(n, k, i, rest).items():
-                key2 = with_creator(mono2, creator)
-                out[key2] = out.get(key2, MuPoly.zero()) + coeff
+            # Inserting one creator into distinct monomials gives distinct ones.
+            out = {with_creator(mono2, creator): coeff
+                   for mono2, coeff in apply(n, k, i, rest).items()}
             # Bracket term: [B[n,k], B[m,0]] = k m B[n+m-1, k-1](fn g).
             const = k * m
             for mono2, coeff in apply(n + m - 1, k - 1, product(i, j), rest).items():
-                out[mono2] = out.get(mono2, MuPoly.zero()) + coeff.scaled(const)
+                coeff = coeff.scaled(const)
+                out[mono2] = out[mono2] + coeff if mono2 in out else coeff
         memo[key] = out
         return out
 
@@ -227,7 +227,8 @@ def reduce_untruncated_with_stats(word: Word):
         out = {}
         for mono, coeff in terms.items():
             for mono2, c2 in apply(idx.n, idx.k, i, mono).items():
-                out[mono2] = out.get(mono2, MuPoly.zero()) + coeff * c2
+                c2 = coeff * c2
+                out[mono2] = out[mono2] + c2 if mono2 in out else c2
         terms = {mono: c for mono, c in out.items() if not c.is_zero}
         if not terms:
             break

@@ -34,12 +34,13 @@ def read_rational(value) -> tuple:
     MAX_DECIMAL_EXPONENT raises ValueError.
     """
     kind = type(value)
-    if kind is Fraction:
-        return value.numerator, value.denominator
-    if kind is int:
-        return value, 1
-    if kind is not str and (isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction))):
-        raise TypeError(f"cannot read a rational from {value!r}")
+    if kind is not str:
+        if kind is Fraction:
+            return value.numerator, value.denominator
+        if kind is int:
+            return value, 1
+        if isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction)):
+            raise TypeError(f"cannot read a rational from {value!r}")
     try:
         if isinstance(value, str):
             ratio = _INTEGER_RATIO.fullmatch(value)

@@ -411,3 +411,55 @@ def segments_as_fractions(segments) -> list:
          tuple(ComplexRational(Fraction(re, den), Fraction(im, den)) for re, im, den in coeffs))
         for a, b, coeffs in segments
     ]
+
+
+# -- a reader of step-function payloads that shares no code with jsonio --------
+
+
+def _payload_rational(value):
+    """A payload value read with Fraction, or None where it is not a rational."""
+    if type(value) is bool or not isinstance(value, (str, int, float)):
+        return None
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+def read_step_payload(value, pointer=""):
+    """(rows, None) for a valid step-function payload, its canonical int rows
+    as `StepFunction.rows` holds them; (None, (pointer, message)) for an
+    invalid one, its first fault in read order.  Each piece is read in turn:
+    its shape (unknown fields, then missing ones), its fields a, b, re, im,
+    then its interval."""
+    if not isinstance(value, list):
+        return None, (pointer, f"expected a list, got {type(value).__name__}")
+    pieces = []
+    for i, item in enumerate(value):
+        here = f"{pointer}/{i}"
+        if not isinstance(item, dict):
+            return None, (here, f"expected an object, got {type(item).__name__}")
+        unknown = [key for key in item if key not in ("a", "b", "re", "im")]
+        if unknown:
+            return None, (f"{here}/{unknown[0]}", "unknown field")
+        missing = [key for key in ("a", "b", "re") if key not in item]
+        if missing:
+            return None, (here, f"missing required field {missing[0]!r}")
+        parts = []
+        for key in ("a", "b", "re", "im"):
+            text = item.get(key, 0)
+            part = _payload_rational(text)
+            if part is None:
+                return None, (f"{here}/{key}", f"expected a rational ('p/q'), got {text!r}")
+            parts.append(part)
+        a, b, re, im = parts
+        if a >= b:
+            return None, (here, f"empty interval [{a}, {b})")
+        pieces.append((a, b, ComplexRational(re, im)))
+    rows = []
+    for a, b, c in FractionStepFunction(pieces).pieces:
+        re, im = Fraction(c.re), Fraction(c.im)
+        den = math.lcm(re.denominator, im.denominator)
+        rows.append(((a.numerator, a.denominator), (b.numerator, b.denominator),
+                     (int(re * den), int(im * den), den)))
+    return tuple(rows), None

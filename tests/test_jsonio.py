@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_element, rand_step_function, step_functions
-from oracles import decode_mu_poly, encode_word
+from oracles import decode_mu_poly, encode_word, read_step_payload
 from rhpwn import cli, jsonio
 from rhpwn.algebra import RHPWN, WINFTY, GeneratorIndex
 from rhpwn.errors import SchemaError
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.rewrite import Word
-from rhpwn.stepfn import CHI
+from rhpwn.scalars import ComplexRational
+from rhpwn.stepfn import CHI, StepFunction
 
 
 def test_step_function_roundtrip():
@@ -338,3 +339,107 @@ def test_refused_step_function_payloads(pieces, pointer, message):
 def test_unreduced_rational_is_read_and_written_reduced():
     fn = jsonio.decode_step_function([{"a": "0", "b": "2/4", "re": "2/4", "im": "-3/6"}])
     assert jsonio.encode_step_function(fn) == [{"a": "0", "b": "1/2", "re": "1/2", "im": "-1/2"}]
+
+
+# -- the decoder against a reader that shares no code with it --------------------
+
+# Spellings of each grid point and of the coefficients, so that a payload
+# repeats its strings across pieces and fields: "1/2" is an endpoint in one
+# piece and a coefficient in the next.  Ints and floats are read too, and
+# True == 1 == 1.0, so a table keyed on anything but str would read True.
+_POINT_SPELLINGS = {
+    Fraction(-2): ["-2", -2, "-4/2"], Fraction(-3, 2): ["-3/2", -1.5],
+    Fraction(-1): ["-1", -1], Fraction(-1, 2): ["-1/2", "-2/4"], Fraction(0): ["0", 0, "0/5"],
+    Fraction(1, 2): ["1/2", "2/4", 0.5], Fraction(1): ["1", 1, 1.0, "3/3"],
+    Fraction(3, 2): ["3/2", "6/4"], Fraction(2): ["2", 2], Fraction(5, 2): ["5/2"],
+}
+_COEFF_SPELLINGS = ["0", "1", "1/2", "2/4", "-1/2", "3/2", "-1", 1, 0, 0.5, "-7/3"]
+_MALFORMED = ["abc", "1//2", "", "1/-2", "0x10", "1/2/3", "1 /2", "nan", "inf"]
+_NOT_OBJECTS = [["a", "0"], "1/2", 1, None]
+
+
+@st.composite
+def _step_payloads(draw, min_pieces=0):
+    """A valid payload: pieces on a grid with 0 always a cut, in any order."""
+    points = sorted(draw(st.sets(st.sampled_from(sorted(_POINT_SPELLINGS)),
+                                 min_size=min_pieces + 1)) | {Fraction(0)})
+    intervals = list(zip(points, points[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(intervals), max_size=len(intervals)))
+    kept = [span for span, k in zip(intervals, keep) if k]
+    kept = draw(st.permutations(kept if len(kept) >= min_pieces else intervals))
+    pieces = []
+    for a, b in kept:
+        piece = {"a": draw(st.sampled_from(_POINT_SPELLINGS[a])),
+                 "b": draw(st.sampled_from(_POINT_SPELLINGS[b])),
+                 "re": draw(st.sampled_from(_COEFF_SPELLINGS))}
+        if draw(st.booleans()):
+            piece["im"] = draw(st.sampled_from(_COEFF_SPELLINGS))
+        pieces.append(piece)
+    return pieces
+
+
+@st.composite
+def _refused_step_payloads(draw):
+    """A valid payload of two or more pieces with one fault injected at a
+    piece after the first; the first piece's re is set to a valid copy of
+    the value the fault replaces, so it is read before the fault."""
+    pieces = draw(_step_payloads(min_pieces=2))
+    i = draw(st.integers(1, len(pieces) - 1))
+    piece = pieces[i]
+    field = draw(st.sampled_from(("a", "b", "re", "im")))
+    pieces[0]["re"] = piece.get(field, piece["a"])
+    fault = draw(st.sampled_from(
+        ("malformed", "1/0", "true", "not-an-object", "missing", "unknown", "reversed",
+         "zero-length")))
+    if fault == "malformed":
+        piece[field] = draw(st.sampled_from(_MALFORMED))
+    elif fault == "1/0":
+        piece[field] = "1/0"
+    elif fault == "true":
+        piece[field] = True
+    elif fault == "not-an-object":
+        pieces[i] = draw(st.sampled_from(_NOT_OBJECTS))
+    elif fault == "missing":
+        del piece[draw(st.sampled_from(("a", "b", "re")))]
+    elif fault == "unknown":
+        piece[draw(st.sampled_from(("x", "A", "pieces")))] = piece["a"]
+    elif fault == "reversed":
+        piece["a"], piece["b"] = piece["b"], piece["a"]
+    else:
+        piece["b"] = piece["a"]
+    return pieces
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_step_payloads())
+def test_decoder_reads_the_oracle_rows(pieces):
+    rows, fault = read_step_payload(pieces, "/f")
+    assert fault is None
+    assert jsonio.decode_step_function(pieces, "/f").rows == rows
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_refused_step_payloads())
+def test_decoder_refuses_at_the_oracle_first_fault(pieces):
+    rows, fault = read_step_payload(pieces, "/f")
+    assert rows is None
+    pointer, message = fault
+    with pytest.raises(SchemaError) as err:
+        jsonio.decode_step_function(pieces, "/f")
+    assert err.value.pointer == pointer
+    assert str(err.value) == f"{pointer}: {message}"
+
+
+def test_each_distinct_string_is_read_once(monkeypatch):
+    # 200 pieces, 800 strings, 5 distinct texts: the zero pieces overlap the
+    # second piece but are dropped before the overlap check.
+    pieces = ([{"a": "0", "b": "1/2", "re": "1", "im": "0"},
+               {"a": "1", "b": "3/2", "re": "-1/3", "im": "1/2"}]
+              + [{"a": "1/2", "b": "3/2", "re": "0", "im": "0"} for _ in range(198)])
+    read = jsonio.read_rational
+    texts = []
+    monkeypatch.setattr(jsonio, "read_rational", lambda text: texts.append(text) or read(text))
+    fn = jsonio.decode_step_function(pieces)
+    assert len(texts) <= 5
+    assert fn == StepFunction([(0, Fraction(1, 2), 1),
+                               (1, Fraction(3, 2), ComplexRational(Fraction(-1, 3), Fraction(1, 2)))])
