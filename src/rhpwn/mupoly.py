@@ -38,6 +38,17 @@ def _canonical(num: list, den: int) -> "MuPoly":
     return _make(tuple(num), den)
 
 
+def _times(p: "MuPoly", cr: int, ci: int, cd: int) -> "MuPoly":
+    """`p` times the constant (cr + ci i)/cd: one pass over `p`, no convolution."""
+    if not ci:
+        if cr == 1 and cd == 1:
+            return p
+        num = [(a * cr, b * cr) for a, b in p._num]
+    else:
+        num = [(a * cr - b * ci, a * ci + b * cr) for a, b in p._num]
+    return _canonical(num, p._den * cd)
+
+
 def _poly(value) -> "MuPoly":
     if isinstance(value, MuPoly):
         return value
@@ -88,6 +99,8 @@ class MuPoly:
 
     @classmethod
     def monomial(cls, degree: int, c=1) -> "MuPoly":
+        if degree < 0:
+            raise ValueError(f"negative monomial degree {degree}")
         re, im, den = gaussian(c)
         return _canonical([(0, 0)] * degree + [(re, im)], den)
 
@@ -133,6 +146,12 @@ class MuPoly:
         a, b = self._num, other._num
         if not a or not b:
             return _ZERO
+        # A constant operand scales the other one: most products in a
+        # reduction have one, so they skip the convolution.
+        if len(b) == 1:
+            return _times(self, *b[0], other._den)
+        if len(a) == 1:
+            return _times(other, *a[0], self._den)
         size = len(a) + len(b) - 1
         out_re, out_im = [0] * size, [0] * size
         for i, (ar, ai) in enumerate(a):
@@ -161,12 +180,9 @@ class MuPoly:
         return out
 
     def scaled(self, c) -> "MuPoly":
-        cr, ci, cd = gaussian(c)
-        if ci:
-            num = [(a * cr - b * ci, a * ci + b * cr) for a, b in self._num]
-        else:
-            num = [(a * cr, b * cr) for a, b in self._num]
-        return _canonical(num, self._den * cd)
+        if type(c) is int:
+            return _times(self, c, 0, 1)
+        return _times(self, *gaussian(c))
 
     def conjugate(self) -> "MuPoly":
         return _make(tuple((a, -b) for a, b in self._num), self._den)

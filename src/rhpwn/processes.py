@@ -408,21 +408,23 @@ class SecantSampler:
         self.cdf = cdf
 
     def sample(self, count: int, seed: int) -> np.ndarray:
-        _check_count(count)
+        _check_draw(count, seed)
         return np.interp(np.random.default_rng(seed).random(count), self.cdf, self.grid)
 
 
-def _check_count(count: int):
+def _check_draw(count: int, seed: int):
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise DomainError(f"sample seed must be >= 0, got {seed}")
 
 
 def sample_X(t: float, count: int, seed: int) -> np.ndarray:
     """i.i.d. draws from p_t; deterministic for a fixed seed.
 
-    The count is checked before the sampler's table is built.
+    The count and the seed are checked before the sampler's table is built.
     """
-    _check_count(count)
+    _check_draw(count, seed)
     return SecantSampler(t).sample(count, seed)
 
 

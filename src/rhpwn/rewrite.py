@@ -28,6 +28,12 @@ It is returned with each monomial's creators in (m, sort key) order: the
 ids that survive in the result are ranked once by the sort key of their
 function, and each monomial is sorted by (m, rank).
 
+The bracket term scales a coefficient by the constant k m.  Many paths meet
+the same (coefficient, constant) pair, so each reduction keeps a table from
+the coefficient's canonical parts and the constant to the scaled coefficient:
+each distinct pair is scaled once, equal scaled values share one object, and
+the table is freed with the memo.
+
 Truncated (order n >= 1): states live in the number-vector basis
 {(B[n,0])^k Phi} and only the three generators of the order-n algebra act:
 
@@ -159,12 +165,15 @@ def reduce_untruncated_with_stats(word: Word):
     creator of a monomial is the one with the largest (m, id), so the path
     the recursion takes, and with it the step count, depends on the order
     in which the functions were first seen; the state does not.  The memo's
-    result dicts are shared and only ever read.
+    result dicts are shared and only ever read.  The bracket term's scaled
+    coefficients are kept per (numerator parts, denominator, constant), not
+    per MuPoly, whose hash builds its `coeffs`.
     """
     ids = {}  # test function -> id
     fns = []  # id -> test function
     products = {}  # (i, j) with i <= j -> id of fns[i] * fns[j]
     memo = {}  # (n, k, id, monomial) -> {monomial: MuPoly}
+    scaled = {}  # (coefficient parts, const) -> coefficient scaled by const
 
     def intern(fn):
         i = ids.get(fn)
@@ -216,8 +225,11 @@ def reduce_untruncated_with_stats(word: Word):
             # Bracket term: [B[n,k], B[m,0]] = k m B[n+m-1, k-1](fn g).
             const = k * m
             for mono2, coeff in apply(n + m - 1, k - 1, product(i, j), rest).items():
-                coeff = coeff.scaled(const)
-                out[mono2] = out[mono2] + coeff if mono2 in out else coeff
+                parts = (coeff._num, coeff._den, const)
+                c = scaled.get(parts)
+                if c is None:
+                    c = scaled[parts] = coeff.scaled(const)
+                out[mono2] = out[mono2] + c if mono2 in out else c
         memo[key] = out
         return out
 
@@ -234,6 +246,7 @@ def reduce_untruncated_with_stats(word: Word):
             break
     steps = len(memo)
     memo.clear()  # the largest structure here: free it before the state is built
+    scaled.clear()
     # Rank the surviving ids by sort key, one key per function: ids are
     # value-distinct and the key tells distinct functions apart, so sorting
     # a monomial by (m, rank) sorts it by (m, sort key).

@@ -497,11 +497,14 @@ def test_float_overflow_exits_2(capsys, monkeypatch, command, payload, message):
 def test_sample_count_cap(capsys, monkeypatch):
     import rhpwn.cli as cli_mod
 
-    # Counts below 1 are refused before the sampler's table is built.
+    # Counts below 1 and negative seeds are refused before the sampler's
+    # table is built.
     monkeypatch.setattr(cli_mod.processes, "SecantSampler", _never)
-    for count in ("0", "-1"):
-        argv = ["sample", "--t", "2", "--count", count, "--seed", "1"]
-        assert_refused(capsys, argv, f"sample count must be >= 1, got {count}")
+    for count, seed, message in [("0", "1", "sample count must be >= 1, got 0"),
+                                 ("-1", "1", "sample count must be >= 1, got -1"),
+                                 ("3", "-1", "sample seed must be >= 0, got -1")]:
+        argv = ["sample", "--t", "2", "--count", count, "--seed", seed]
+        assert_refused(capsys, argv, message)
     monkeypatch.setattr(cli_mod.processes, "sample_X", _never)
     argv = ["sample", "--t", "2", "--count", "1000001", "--seed", "1"]
     assert_refused(capsys, argv, "exceeds the cap 1000000")

@@ -726,6 +726,11 @@ def test_sampler_rejects_bad_count():
         SecantSampler(1.0).sample(0, 1)
 
 
+def test_sampler_rejects_negative_seed():
+    with pytest.raises(DomainError, match="sample seed must be >= 0, got -1"):
+        SecantSampler(1.0).sample(3, -1)
+
+
 # -- classicality --------------------------------------------------------------------------
 
 

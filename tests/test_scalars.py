@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -352,3 +353,36 @@ def test_mupoly_matches_dense_reference(cs, ds, c, k, mu):
     value = p.eval_exact(mu)
     assert value == rp.eval_exact(mu) and str(value) == str(rp.eval_exact(mu))
     assert eval_float(p, 0.3) == rp.eval_float(0.3)
+
+
+def _as_sympy(p, mu):
+    """A MuPoly as an exact sympy expression in `mu`, Gaussian coefficients and all."""
+    part = lambda x: sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+    return sum((part(c.re) + sympy.I * part(c.im)) * mu**d for d, c in enumerate(p.coeffs))
+
+
+# Constant operands: any exact scalar, with zero, one and Gaussian units drawn often.
+_CONSTANTS = st.one_of(
+    st.sampled_from([0, 1, Fraction(1), ComplexRational(0, 1), ComplexRational(1, -1)]),
+    COEFFS,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_COEFF_LISTS, _CONSTANTS)
+def test_product_with_a_constant_matches_sympy(cs, c):
+    mu = sympy.Symbol("mu")
+    p, k = MuPoly(cs), MuPoly.constant(c)
+    want = sympy.expand(_as_sympy(p, mu) * _as_sympy(k, mu))
+    for got in (p * k, k * p, p * c):
+        _assert_canonical(got)
+        assert sympy.expand(_as_sympy(got, mu) - want) == 0
+    assert p * k == p.scaled(c)
+    assert p * MuPoly.one() == p == MuPoly.one() * p
+
+
+def test_monomial_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="negative monomial degree -1"):
+        MuPoly.monomial(-1, 5)
+    assert MuPoly.monomial(0, 5) == 5
+    assert MuPoly.monomial(2, ComplexRational(0, 3)) == (MU * MU).scaled(ComplexRational(0, 3))
