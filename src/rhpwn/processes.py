@@ -56,27 +56,6 @@ class SplittingSolution:
     w_series: tuple  # MuPoly, degree <= 1 in mu
 
 
-def _inside_pole(n: int, s: float):
-    """(c, sqrt c) for order n >= 2, once |s| sqrt(c) < pi/2 is checked: V_n,
-    W_n and the MGF all have their pole at |s| = pi / (2 sqrt c)."""
-    c = order_constants(n)[1]
-    a = math.sqrt(c)
-    if abs(s) * a >= math.pi / 2:
-        raise DomainError(
-            f"|s| must stay below {math.pi / (2 * a):.6g} for n={n}: "
-            f"V_{n}, W_{n} and the MGF are singular there"
-        )
-    return c, a
-
-
-def _w_closed_form(n: int, s: float, mu: float) -> float:
-    """W_n(s) = -(n mu / c) ln cos(sqrt(c) s); mu s^2 / 2 for n = 1."""
-    if n == 1:
-        return s * s * mu / 2
-    c, a = _inside_pole(n, s)
-    return -(n * mu / c) * math.log(math.cos(a * s))
-
-
 def riccati_split(n: int, order: int = 16) -> SplittingSolution:
     """Solve V' = 1 + (n^3(n-1)/2) V^2 and W' = n mu V as exact series.
 
@@ -177,16 +156,27 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def mgf_eval(n: int, s: float, t: float) -> float:
-    """Closed-form MGF of the order-n field process at time t.
+    """Closed-form MGF exp(W_n(s)) of the order-n field process at time t = mu.
 
     n = 1: exp(s^2 t / 2); n >= 2: (sec(a s))^(2 n t/(n^3(n-1))) with
-    a = sqrt(n^3(n-1)/2), valid for |s| a < pi/2; that is exp(W_n(s)) at mu = t.
+    a = sqrt(n^3(n-1)/2), valid for |s| a < pi/2, the pole of V_n and W_n.
     """
     if n < 1:
         raise DomainError(f"Fock order must be >= 1, got {n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
-    w = _w_closed_form(n, float(s), t)
+    u = float(s)  # s itself is kept for the overflow message
+    if n == 1:
+        w = u * u * t / 2
+    else:
+        c = order_constants(n)[1]
+        a = math.sqrt(c)
+        if abs(u) * a >= math.pi / 2:
+            raise DomainError(
+                f"|s| must stay below {math.pi / (2 * a):.6g} for n={n}: "
+                f"V_{n}, W_{n} and the MGF are singular there"
+            )
+        w = -(n * t / c) * math.log(math.cos(a * u))
     if not w <= _LOG_FLOAT_MAX:  # also refuses the NaN of inf * 0 at s = 0
         raise DomainError(f"the MGF at s={s}, t={t} overflows a float: W_{n}(s) = {w:.6g}")
     return math.exp(w)
@@ -305,27 +295,29 @@ class SecantDensity:
         a = complex_log_gamma(complex(t, x) / 2)
         # Complex, in this order: the bits of a separate conjugate call.  A real
         # sum would move the last ULP.
-        value = cmath.exp(self._lead + a + a.conjugate() - self._log_gamma_t)
+        try:
+            value = cmath.exp(self._lead + a + a.conjugate() - self._log_gamma_t)
+        except OverflowError:  # near x = 0 once t < about 1.8e-309: p_t(0) ~ 1/(pi t)
+            raise DomainError(f"the density at t={t}, x={x} overflows a float") from None
         if abs(value.imag) >= 1e-12 * max(1.0, abs(value.real)):
             raise DomainError(f"density residual imaginary part {value.imag} at ({t}, {x})")
         return value.real
 
-    def tail_cutoff(self, eps: float, weight: float = 0.0) -> float:
-        """Grid cutoff X with integral_X^inf e^(weight x) p_t dx < eps.
+    def tail_cutoff(self, eps: float) -> float:
+        """Grid cutoff X with integral_X^inf p_t dx < eps.
 
-        Valid for |weight| < pi/2.  Past X >= 4(t-1)/r with r = pi/2 - |weight|
-        the weighted integrand decays at rate >= 3r/4, so the tail is bounded
-        by its value at X times 4/(3r); the threshold below leaves margin.
+        Past X >= 4(t-1)/r with r = pi/2, p_t decays at rate >= 3r/4, so the
+        tail is bounded by p_t(X) times 4/(3r); the threshold below leaves
+        margin.  The search takes at most 64 steps of x 1.25 from
+        max(10, 2t, 4(t-1)/r), past where p_t underflows for every t allowed.
         """
-        if abs(weight) >= math.pi / 2:
-            raise DomainError(f"tail weight must satisfy |w| < pi/2, got {weight}")
-        rate = math.pi / 2 - abs(weight)
+        rate = math.pi / 2
         x = max(10.0, 2.0 * self.t, 4.0 * max(0.0, self.t - 1) / rate)
-        while x < 10000.0:
-            if math.exp(weight * x) * self(x) < eps * rate / 2:
+        for _ in range(64):
+            if self(x) < eps * rate / 2:
                 return x
             x *= 1.25
-        raise DomainError(f"tail cutoff for eps={eps}, weight={weight} not found")
+        raise DomainError(f"tail cutoff for eps={eps} not found")
 
 
 def even_sweep(f, xs) -> list:
@@ -357,8 +349,9 @@ def even_sweep(f, xs) -> list:
 
 
 def quad(f, a: float, b: float):
-    """Adaptive Simpson quadrature of f on [a, b] from 64 seed panels: returns
-    the knots a = x_0 < ... < x_m = b and the Simpson mass of each panel."""
+    """Adaptive Simpson quadrature of f on [a, b] from 64 seed panels, cut as
+    `numpy.linspace(a, b, 65)` cuts it, bit for bit: returns the lists of knots
+    a = x_0 < ... < x_m = b and of the Simpson mass of each panel."""
     knots = [a]
     masses = []
 
@@ -374,11 +367,12 @@ def quad(f, a: float, b: float):
         refine(a, m, fa, fm, depth + 1)
         refine(m, b, fm, fb, depth + 1)
 
-    seeds = np.linspace(a, b, 65)
+    step = (b - a) / 64
+    seeds = [i * step + a for i in range(64)] + [b]
     values = [f(x) for x in seeds]
     for lo, hi, flo, fhi in zip(seeds, seeds[1:], values, values[1:]):
-        refine(float(lo), float(hi), flo, fhi, 0)
-    return np.asarray(knots), np.asarray(masses)
+        refine(lo, hi, flo, fhi, 0)
+    return knots, masses
 
 
 # Bound on the tail mass the sampler's table leaves out on each side.
@@ -392,7 +386,8 @@ class SecantSampler:
     def __init__(self, t: float):
         dens = SecantDensity(t)
         cutoff = dens.tail_cutoff(SAMPLER_TAIL_EPS)
-        xs, masses = quad(dens, 0.0, cutoff)
+        knots, masses = quad(dens, 0.0, cutoff)
+        xs = np.asarray(knots)
         half_cdf = np.concatenate(([0.0], np.cumsum(masses)))
         total = 2 * half_cdf[-1]
         # Symmetrize and normalize so the table spans exactly [0, 1].

@@ -244,9 +244,10 @@ def reduce_untruncated_with_stats(word: Word):
         terms = {mono: c for mono, c in out.items() if not c.is_zero}
         if not terms:
             break
+    # `apply` refers to itself through its closure cell; unbinding it breaks
+    # that cycle, so the tables are freed on return, not by the collector.
+    del apply
     steps = len(memo)
-    memo.clear()  # the largest structure here: free it before the state is built
-    scaled.clear()
     # Rank the surviving ids by sort key, one key per function: ids are
     # value-distinct and the key tells distinct functions apart, so sorting
     # a monomial by (m, rank) sorts it by (m, sort key).

@@ -13,7 +13,7 @@ from rhpwn import jsonio
 from rhpwn.algebra import order_constants
 from rhpwn.errors import DomainError, SchemaError, TagMismatchError, UnsupportedGeneratorError
 from rhpwn.mupoly import MuPoly
-from rhpwn.processes import SecantDensity, _inside_pole, _w_closed_form, quad
+from rhpwn.processes import SecantDensity, quad
 from rhpwn.rewrite import VacuumState, Word, reduce_truncated
 from rhpwn.scalars import QC_ZERO, ComplexRational, parse_fraction
 from rhpwn.stepfn import CHI, SymbolicIndicator
@@ -41,15 +41,41 @@ def Ghat_eval(n: int, u: complex) -> complex:
     return -(1 / half) * cmath.log(1 - c * u)
 
 
+def _riccati_scale(n: int, s: float) -> float:
+    """a = sqrt(n^3 (n-1) / 2) for n >= 2, once |s| a < pi/2 is checked."""
+    a = math.sqrt(n**3 * (n - 1) / 2)
+    if abs(s) * a >= math.pi / 2:
+        raise DomainError(f"|s| must stay below {math.pi / (2 * a):.6g} for n={n}")
+    return a
+
+
 def v_eval(n: int, s: float) -> float:
+    """V_n(s) = tan(a s) / a; s for n = 1."""
     if n == 1:
         return float(s)
-    _, a = _inside_pole(n, s)
+    a = _riccati_scale(n, s)
     return math.tan(a * s) / a
 
 
 def w_eval(n: int, s: float, mu: float) -> float:
-    return _w_closed_form(n, s, mu)
+    """W_n(s) = -(2 n mu / (n^3 (n-1))) log cos(a s); mu s^2 / 2 for n = 1."""
+    if n == 1:
+        return s * s * mu / 2
+    a = _riccati_scale(n, s)
+    return -(2 * n * mu / (n**3 * (n - 1))) * math.log(math.cos(a * s))
+
+
+def weighted_tail_cutoff(t: float, eps: float, weight: float) -> float:
+    """X with integral_X^inf e^(weight x) p_t(x) dx < eps, for |weight| < pi/2,
+    from the Chernoff bound: for |weight| < lam < pi/2 that tail is at most
+    e^(-(lam - |weight|) X) (sec lam)^t, the MGF of p_t at lam.  Here lam is
+    midway to pi/2, and X is rounded up to a power of 2, so that nearby
+    weights share one cutoff."""
+    if not abs(weight) < math.pi / 2:
+        raise DomainError(f"tail weight must satisfy |w| < pi/2, got {weight}")
+    lam = (abs(weight) + math.pi / 2) / 2
+    x = (-t * math.log(math.cos(lam)) - math.log(eps)) / (lam - abs(weight))
+    return 2.0 ** math.ceil(math.log2(max(x, 1.0)))
 
 
 def mgf_series(n: int, order: int):
@@ -82,7 +108,7 @@ def mgf_numeric_check(t: float, s: float) -> MgfNumericCheck:
     if abs(s) >= math.pi / 2:
         raise DomainError(f"MGF argument needs |s| < pi/2, got {s}")
     dens = SecantDensity(t)
-    cutoff = dens.tail_cutoff(1e-16, weight=abs(s))
+    cutoff = weighted_tail_cutoff(t, 1e-16, s)
     numeric = math.fsum(quad(lambda x: 2 * math.cosh(s * x) * dens(x), 0.0, cutoff)[1])
     closed = math.exp(-t * math.log(math.cos(s)))
     rel = abs(numeric - closed) / abs(closed)

@@ -20,6 +20,7 @@ from oracles import (
     mgf_numeric_check,
     mgf_series,
     state_in_number_basis,
+    weighted_tail_cutoff,
 )
 from rhpwn.algebra import RHPWN, WINFTY, AlgebraElement, commutator, involution
 from rhpwn.fock import (
@@ -247,7 +248,7 @@ def test_criterion_09_density_suite():
     for n, s in ((2, 0.3), (3, 0.15)):
         sigma = math.sqrt(n**3 * (n - 1) / 2)
         tau = 2 * n * t / (n**3 * (n - 1))
-        cutoff = sigma * SecantDensity(tau).tail_cutoff(1e-15, weight=abs(s) * sigma)
+        cutoff = sigma * weighted_tail_cutoff(tau, 1e-15, s * sigma)
         got, _ = quad(
             lambda y: math.exp(s * y) * scaled_density(n, t)(y),
             -cutoff,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_element, step_functions
+from conftest import SCALARS, rand_element, step_functions
 from rhpwn.algebra import (
     RHPWN,
     WINFTY,
@@ -124,6 +124,33 @@ def test_commutator_is_total_antisymmetric_and_jacobi(tag):
         assert jacobi == zero
 
     check()
+
+
+@pytest.mark.parametrize("tag", [RHPWN, WINFTY])
+def test_linear_structure_and_bilinear_commutator(tag):
+    zero = AlgebraElement.zero(tag)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(elements(tag), elements(tag), elements(tag), SCALARS)
+    def check(a, b, c, q):
+        assert a - a == zero
+        assert -a == a.scaled(-1)
+        assert (a + b).scaled(q) == a.scaled(q) + b.scaled(q)
+        assert commutator(a + b.scaled(q), c) == commutator(a, c) + commutator(b, c).scaled(q)
+        assert commutator(c, a + b.scaled(q)) == commutator(c, a) + commutator(c, b).scaled(q)
+
+    check()
+
+
+def test_element_str_lists_terms_in_n_k_order():
+    f = StepFunction.indicator(0, 1)
+    g = StepFunction.indicator(0, 2, 3)
+    assert str(AlgebraElement.zero(RHPWN)) == "0"
+    assert str(AlgebraElement.zero(WINFTY)) == "0"
+    a = gen(RHPWN, 2, 1, f) + gen(RHPWN, 0, 3, g) + gen(RHPWN, 2, 0, g)
+    assert str(a) == "B[0,3]((3)*chi[0,2)) + B[2,0]((3)*chi[0,2)) + B[2,1]((1)*chi[0,1))"
+    b = gen(WINFTY, 3, -1, f) + gen(WINFTY, 2, 2, g) + gen(WINFTY, 3, -2, g)
+    assert str(b) == "Bw[2,2]((3)*chi[0,2)) + Bw[3,-2]((3)*chi[0,2)) + Bw[3,-1]((1)*chi[0,1))"
 
 
 def test_stirling_values_and_errors():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -213,6 +214,16 @@ def test_sample_deterministic_lines():
     code, as_json = run_cli(["sample", "--t", "2", "--count", "50", "--seed", "7", "--format", "json"])
     obj = json.loads(as_json)
     assert obj["samples"] == first.strip().splitlines()
+
+
+def test_sample_covers_the_whole_time_range():
+    # The sampler's tail cutoff is 10,183 at t = 4000 and 25,462 at t = 10^4.
+    for t in ("4000", "10000"):
+        code, text = run_cli(["sample", "--t", t, "--count", "20000", "--seed", "1"])
+        assert code == 0
+        draws = [float(line) for line in text.splitlines()]
+        assert len(draws) == 20000
+        assert statistics.pvariance(draws) == pytest.approx(float(t), rel=0.05)
 
 
 def test_sample_csv_holds_no_second_copy_of_the_samples(monkeypatch):
@@ -434,6 +445,9 @@ def test_non_finite_payload_rational_rejected(capsys, monkeypatch, command, temp
         # stop is in range, but the last point lies past it by up to step/1000
         (["density", "--t", "1", "--x-grid", "0:1.7976931348623157e308:8.99e307"],
          "leaves the float range"),
+        # p_t(0) is about 1/(pi t), past the largest float for t below about 1.8e-309
+        (["density", "--t", "1e-309", "--x-grid", "0:1:1"], "the density at t=1e-309, x=0.0"),
+        (["sample", "--t", "1e-320", "--count", "2", "--seed", "1"], "overflows a float"),
     ],
 )
 def test_numbers_beyond_the_float_domain_exit_2(capsys, argv, message):

@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import mupoly_to_sympy
-from oracles import eval_float, mgf_numeric_check, mgf_series, v_eval, w_eval
+from oracles import (
+    eval_float,
+    mgf_numeric_check,
+    mgf_series,
+    v_eval,
+    w_eval,
+    weighted_tail_cutoff,
+)
 from rhpwn import processes
 from rhpwn.algebra import RHPWN, AlgebraElement, commutator, order_constants
 from rhpwn.cli import main as cli_main
@@ -370,7 +377,7 @@ def test_scaled_density_mgf(n, s):
     t = 1.5
     sigma = math.sqrt(n**3 * (n - 1) / 2)
     tau = 2 * n * t / (n**3 * (n - 1))
-    cutoff = sigma * SecantDensity(tau).tail_cutoff(1e-15, weight=abs(s) * sigma)
+    cutoff = sigma * weighted_tail_cutoff(tau, 1e-15, s * sigma)
     got, _ = quad(
         lambda y: math.exp(s * y) * scaled_density(n, t)(y),
         -cutoff,
@@ -646,7 +653,8 @@ def test_even_sweep_stores_nothing_beside_its_result():
 def test_quad_against_scipy(t, s):
     # half the normalization of the even p_t (s = 0), and half-line MGF integrals
     dens = SecantDensity(t)
-    cutoff = dens.tail_cutoff(processes.SAMPLER_TAIL_EPS, weight=s)
+    eps = processes.SAMPLER_TAIL_EPS
+    cutoff = dens.tail_cutoff(eps) if s == 0.0 else weighted_tail_cutoff(t, eps, s)
 
     def f(x):
         return math.exp(s * x) * dens(x)
