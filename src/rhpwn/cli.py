@@ -214,7 +214,7 @@ def _cmd_split_check(args):
 
 def _cmd_mgf(args):
     ss = _parse_grid(args.s_grid)
-    values = processes.even_sweep(lambda s: processes.mgf_eval(args.n, s, args.t), ss)
+    values = processes.mgf_sweep(args.n, ss, args.t)
     return {"n": args.n, "t": _fmt(args.t), "rows": jsonio.FloatRows(("s", "value"), ss, values)}
 
 
@@ -224,7 +224,7 @@ def _cmd_density(args):
         density = processes.SecantDensity(args.t)
     else:
         density = processes.scaled_density(args.n, args.t)
-    ps = processes.even_sweep(density, xs)
+    ps = density.values(xs)
     return {"t": _fmt(args.t), "n": args.n, "rows": jsonio.FloatRows(("x", "p"), xs, ps)}
 
 

@@ -13,20 +13,20 @@ V' = 1 + (n^3(n-1)/2) V^2, V(0) = 0, and W' = n mu V, W(0) = 0.
 The normalized law has density p_t(x) = (2^(t-1) / (2 pi))
 Gamma((t+ix)/2) Gamma((t-ix)/2) / Gamma(t), an even probability density with
 MGF (sec s)^t.  `SecantDensity(t)` is its one evaluator: it computes the
-terms free of x once and takes one complex log-Gamma per point.  The density
-is integrated by adaptive Simpson quadrature (`quad`) and sampled by linear
-interpolation of the tabulated inverse CDF.
+terms free of x once and evaluates the rest with `log_gamma_array`, a numpy
+Lanczos sum, on the distinct values of |x|, so the density is even by
+construction.  `complex_log_gamma` and a call at one point are one-point
+calls of the same code.  The density is integrated by a level-by-level
+adaptive Simpson quadrature (`quad`), which evaluates all the midpoints of
+one level in one array call, and sampled by linear interpolation of the
+tabulated inverse CDF.
 
-The density, `scaled_density` and `mgf_eval` are even bit for bit, failures
-included: log Gamma of a conjugate is the conjugate of log Gamma, and cos and
-s*s do not see the sign of s.  `even_sweep` evaluates such a function on an
-ascending grid and gives each positive point the value already computed at
-its mirror, so a grid symmetric about 0 costs about half its points.
+`mgf_eval` stays scalar; `mgf_sweep` calls it once per distinct |s|, since
+cos and s*s do not see the sign of s.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -203,29 +203,55 @@ _LANCZOS_COEFFS = (
     0.36899182659531622704e-5,
 )
 
-# The terms i >= 1 with i as a float, so the hot loop neither slices nor converts.
+# The terms i >= 1 with i as a float, so the loop neither slices nor converts.
 _LANCZOS_TERMS = tuple((float(i), c) for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1))
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
-def complex_log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma on the right half plane.
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, entrywise, as Python's complex product computes it.  numpy's own
+    complex product and complex abs use fused multiply-adds on some CPUs and
+    not on others; separate real products and sums round the same on all."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    Lanczos approximation with g = 607/128 and 15 coefficients; absolute
-    accuracy well below 1e-12 on Re z in (0, 50], |Im z| <= 200.
+
+def log_gamma_array(z: np.ndarray) -> np.ndarray:
+    """Principal-branch log Gamma of each entry of a complex array with Re z > 0
+    (not checked here; `complex_log_gamma` checks its one point).
+
+    Lanczos approximation with g = 607/128 and 15 coefficients, one term at a
+    time into one accumulator; absolute accuracy well below 1e-12 on Re z in
+    (0, 50], |Im z| <= 200.  Each entry is computed by itself, so its bits do
+    not depend on the other entries, and conj(z) gives the conjugate, bit for
+    bit.  Callers run it under `np.errstate(all="ignore")`.
     """
+    # For |z| < 1e-3 the sum would lose the low bits of z in (z - 1) + 1, so
+    # those entries take log Gamma(z + 1) - log z.
+    small = np.hypot(z.real, z.imag) < 1e-3
+    zm1 = np.where(small, z + 1, z) - 1
+    acc = np.full(z.shape, _LANCZOS_COEFFS[0], dtype=complex)
+    term = np.empty_like(acc)
+    for i, c in _LANCZOS_TERMS:
+        np.add(zm1, i, out=term)
+        np.divide(c, term, out=term)
+        acc += term
+    t = zm1 + _LANCZOS_G + 0.5
+    out = _HALF_LOG_2PI + _times(zm1 + 0.5, np.log(t)) - t + np.log(acc)
+    if small.any():
+        out[small] -= np.log(z[small])
+    return out
+
+
+def complex_log_gamma(z: complex) -> complex:
+    """log Gamma(z) for Re z > 0: the one-point form of `log_gamma_array`."""
     z = complex(z)
     if z.real <= 0:
         raise DomainError(f"log Gamma implemented for Re z > 0, got {z}")
-    if abs(z) < 1e-3:
-        # the sum below would lose the low bits of z in (z - 1) + 1
-        return complex_log_gamma(z + 1) - cmath.log(z)
-    zm1 = z - 1
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in _LANCZOS_TERMS:
-        acc += c / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    with np.errstate(all="ignore"):
+        return complex(log_gamma_array(np.array([z]))[0])
 
 
 # -- the hyperbolic-secant family densities -------------------------------------
@@ -237,20 +263,18 @@ def density_p(t: float, x: float) -> float:
     return SecantDensity(t)(x)
 
 
-def scaled_density(n: int, t: float):
+def scaled_density(n: int, t: float) -> "SecantDensity":
     """Density y -> p_tau(y / sigma) / sigma of the order-n field process
     sigma X_tau, with sigma = sqrt(n^3(n-1)/2) and tau = 2 n t/(n^3(n-1)).
 
-    One `SecantDensity(tau)` serves every point, so each point takes one
-    log-Gamma."""
+    A value whose p_tau overflows a float before the division by sigma is
+    taken as exp(log p_tau - log sigma); a refusal names this t."""
     if n < 2:
         raise OutOfScopeError(f"the scaled density concerns n >= 2, got n={n}")
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
     c = order_constants(n)[1]
-    sigma = math.sqrt(c)
-    dens = SecantDensity(n * t / c)
-    return lambda y: dens(y / sigma) / sigma
+    return SecantDensity(n * t / c, scale=math.sqrt(c), shown_t=t)
 
 
 # Largest t the density accepts.  The rounding error of log Gamma(t), which
@@ -260,6 +284,13 @@ def scaled_density(n: int, t: float):
 MAX_DENSITY_T = 1e4
 
 
+# A |x| past which p_t(x) underflows to 0 for every allowed t.
+_X_ZERO_DENSITY = 1e300
+
+# Points per array call of the evaluator, which bounds its temporaries.
+_CHUNK = 1 << 16
+
+
 class SecantDensity:
     """p_t, the density with MGF (sec s)^t, with a certified tail cutoff, for
     0 < t <= MAX_DENSITY_T:
@@ -267,17 +298,19 @@ class SecantDensity:
         p_t(x) = (2^(t-1)/(2 pi)) Gamma((t+ix)/2) Gamma((t-ix)/2) / Gamma(t).
 
     The terms free of x, (t-1) log 2 - log 2 pi and log Gamma(t), are
-    computed once; each point then takes one log-Gamma a = log Gamma((t+ix)/2),
-    since log Gamma((t-ix)/2) is its conjugate, bit for bit.  For the same
-    reason the value at -x is the value at x, bit for bit, and a call raises
-    at -x exactly when it raises at x; `even_sweep` reuses the value on a grid
-    that holds both.
+    computed once.  `values` takes one array log-Gamma a = log Gamma((t+ix)/2)
+    per distinct |x|, since log Gamma((t-ix)/2) is its conjugate; so the
+    density is even by construction, refusals included.  A call at one point
+    is `values` on that point.
+
+    With `scale` sigma it is the density y -> p_t(y/sigma)/sigma of sigma X_t
+    (see `scaled_density`), and its refusals name `shown_t`.
 
     The tail of p_t decays like x^(t-1) exp(-pi x / 2); past the returned
     cutoff the discarded mass is below the requested epsilon.
     """
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, *, scale: float = 1.0, shown_t: Optional[float] = None):
         t = float(t)
         if t <= 0:
             raise DomainError(f"time must be positive, got t={t}")
@@ -287,92 +320,139 @@ class SecantDensity:
                 "past which its relative error is not held below 1e-10"
             )
         self.t = t
+        self.scale = scale
+        self.shown_t = t if shown_t is None else shown_t
         self._lead = (t - 1) * math.log(2) - math.log(2 * math.pi)
         self._log_gamma_t = complex_log_gamma(complex(t, 0))
 
     def __call__(self, x: float) -> float:
-        t, x = self.t, float(x)
-        a = complex_log_gamma(complex(t, x) / 2)
-        # Complex, in this order: the bits of a separate conjugate call.  A real
-        # sum would move the last ULP.
-        try:
-            value = cmath.exp(self._lead + a + a.conjugate() - self._log_gamma_t)
-        except OverflowError:  # near x = 0 once t < about 1.8e-309: p_t(0) ~ 1/(pi t)
-            raise DomainError(f"the density at t={t}, x={x} overflows a float") from None
-        if abs(value.imag) >= 1e-12 * max(1.0, abs(value.real)):
-            raise DomainError(f"density residual imaginary part {value.imag} at ({t}, {x})")
-        return value.real
+        return float(self.values([x])[0])
+
+    def values(self, xs) -> np.ndarray:
+        """The density at each point of xs, in their order.
+
+        Raises at the first point, in that order, whose |x| is refused: where
+        the value overflows a float, or where its imaginary residual is not
+        negligible.
+        """
+        xs = np.asarray(xs, dtype=float)
+        distinct, back = np.unique(np.abs(xs), return_inverse=True)
+        value = np.empty(distinct.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(distinct), _CHUNK):
+                value[lo:lo + _CHUNK] = np.exp(self._exponent(distinct[lo:lo + _CHUNK]))
+            p = value.real / self.scale
+            huge = np.isinf(p)
+            if huge.any():  # p_t near x = 0 once t < about 1.8e-309: p_t(0) ~ 1/(pi t)
+                p[huge] = np.exp(self._exponent(distinct[huge]) - math.log(self.scale)).real
+        overflow = np.isinf(p)
+        residual = np.abs(value.imag) >= 1e-12 * np.maximum(1.0, np.abs(value.real))
+        refused = (overflow | residual)[back]
+        if refused.any():
+            first = int(refused.argmax())
+            x, j = float(xs[first]), back[first]
+            if overflow[j]:
+                raise DomainError(f"the density at t={self.shown_t}, x={x} overflows a float")
+            raise DomainError(
+                f"density residual imaginary part {float(value.imag[j])} at ({self.shown_t}, {x})"
+            )
+        return p[back]
+
+    def _exponent(self, u: np.ndarray) -> np.ndarray:
+        """log p_t(u / scale), complex, at each u >= 0."""
+        z = np.empty(u.shape, dtype=complex)
+        z.real = 0.5 * self.t
+        # Past |x| = 1e300 the density has long underflowed to 0; the cap
+        # keeps Im log Gamma finite, where the float range would end it.
+        z.imag = 0.5 * np.minimum(u / self.scale, _X_ZERO_DENSITY)
+        a = log_gamma_array(z)
+        # Complex, in this order: a real sum 2 Re a would move the last ULP.
+        return self._lead + a + np.conj(a) - self._log_gamma_t
 
     def tail_cutoff(self, eps: float) -> float:
         """Grid cutoff X with integral_X^inf p_t dx < eps.
 
         Past X >= 4(t-1)/r with r = pi/2, p_t decays at rate >= 3r/4, so the
         tail is bounded by p_t(X) times 4/(3r); the threshold below leaves
-        margin.  The search takes at most 64 steps of x 1.25 from
-        max(10, 2t, 4(t-1)/r), past where p_t underflows for every t allowed.
+        margin.  X is the first of the 64 points max(10, 2t, 4(t-1)/r) 1.25^k
+        where p_t falls below it; the last lies past where p_t underflows for
+        every t allowed.
         """
         rate = math.pi / 2
         x = max(10.0, 2.0 * self.t, 4.0 * max(0.0, self.t - 1) / rate)
-        for _ in range(64):
-            if self(x) < eps * rate / 2:
-                return x
-            x *= 1.25
-        raise DomainError(f"tail cutoff for eps={eps} not found")
+        steps = [x]
+        for _ in range(63):
+            steps.append(steps[-1] * 1.25)
+        below = self.values(steps) < eps * rate / 2
+        if not below.any():
+            raise DomainError(f"tail cutoff for eps={eps} not found")
+        return steps[int(below.argmax())]
 
 
-def even_sweep(f, xs) -> list:
-    """[f(x) for x in xs] for an f with f(-x) == f(x) bit for bit.
+def mgf_sweep(n: int, ss, t: float) -> list:
+    """[mgf_eval(n, s, t) for s in ss], calling `mgf_eval` once per distinct |s|.
 
-    A positive x takes the value already computed at an earlier point equal
-    to -x.  For ascending xs those mirrors are met from right to left, so one
-    pointer moving left through xs finds them and nothing is stored besides
-    the result.  Every other point is evaluated at its own x, in grid order,
-    so the first point that raises is the one the comprehension raises at: a
-    mirror is reused only after it was computed.
+    `mgf_eval` is even bit for bit, refusals included, so each |s| is
+    evaluated at the first point of ss that has it, and a grid symmetric
+    about 0 costs about half its points.  A refusal is raised at the first
+    point of ss whose |s| is refused, with the message it gives there.
     """
-    values = []
-    j = None  # the mirror candidate; starts just left of the first positive x
-    for i, x in enumerate(xs):
-        if x > 0:
-            if j is None:
-                j = i - 1
-            while j >= 0 and xs[j] > -x:
-                j -= 1
-            if j >= 0 and xs[j] == -x:
-                values.append(values[j])
-                continue
-        values.append(f(x))
-    return values
+    values = {}
+    out = []
+    for s in ss:
+        u = abs(s)
+        value = values.get(u)
+        if value is None:
+            value = values[u] = mgf_eval(n, s, t)
+        out.append(value)
+    return out
 
 
 # -- quadrature and sampling ------------------------------------------------------
 
+# Halvings a seed panel of `quad` may take.
+_QUAD_MAX_DEPTH = 30
+
 
 def quad(f, a: float, b: float):
-    """Adaptive Simpson quadrature of f on [a, b] from 64 seed panels, cut as
-    `numpy.linspace(a, b, 65)` cuts it, bit for bit: returns the lists of knots
-    a = x_0 < ... < x_m = b and of the Simpson mass of each panel."""
-    knots = [a]
-    masses = []
+    """Adaptive Simpson quadrature of f on [a, b], one level at a time.
 
-    def refine(a, b, fa, fb, depth):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        trap = 0.5 * (fa + fb) * (b - a)
-        simpson = (fa + 4 * fm + fb) * (b - a) / 6
-        if depth >= 30 or (abs(simpson - trap) < 1e-11 + 1e-9 * abs(simpson)):
-            knots.append(b)
-            masses.append(simpson)
-            return
-        refine(a, m, fa, fm, depth + 1)
-        refine(m, b, fm, fb, depth + 1)
-
-    step = (b - a) / 64
-    seeds = [i * step + a for i in range(64)] + [b]
-    values = [f(x) for x in seeds]
-    for lo, hi, flo, fhi in zip(seeds, seeds[1:], values, values[1:]):
-        refine(lo, hi, flo, fhi, 0)
-    return knots, masses
+    f maps an array of points to the array of their values.  The 64 seed
+    panels are cut by `numpy.linspace(a, b, 65)`.  A panel is kept when its
+    Simpson and trapezoid sums agree to 1e-11 + 1e-9 |Simpson|, or once it
+    is 30 halvings deep; the others are halved, and all the midpoints of one
+    level go through one call of f.  Returns the arrays of knots
+    a = x_0 < ... < x_m = b and of the Simpson mass of each panel: fed the
+    same values of f, what the depth-first recursion returns, bit for bit.
+    """
+    cuts = np.linspace(a, b, 65)
+    f_cuts = f(cuts)
+    lo, hi, f_lo, f_hi = cuts[:-1], cuts[1:], f_cuts[:-1], f_cuts[1:]
+    # A panel's key is its left end in the complete tree of halvings, so
+    # sorting by key restores the left-to-right order of the knots.
+    key = np.arange(64, dtype=np.int64) << _QUAD_MAX_DEPTH
+    kept = []
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        width = hi - lo
+        trap = 0.5 * (f_lo + f_hi) * width
+        simpson = (f_lo + 4 * f_mid + f_hi) * width / 6
+        if depth == _QUAD_MAX_DEPTH:
+            kept.append((key, hi, simpson))
+            break
+        keep = np.abs(simpson - trap) < 1e-11 + 1e-9 * np.abs(simpson)
+        kept.append((key[keep], hi[keep], simpson[keep]))
+        split = ~keep
+        if not split.any():
+            break
+        key = np.concatenate((key[split], key[split] + (1 << (_QUAD_MAX_DEPTH - 1 - depth))))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        f_lo = np.concatenate((f_lo[split], f_mid[split]))
+        f_hi = np.concatenate((f_mid[split], f_hi[split]))
+    keys, ends, masses = (np.concatenate(column) for column in zip(*kept))
+    order = np.argsort(keys)
+    return np.concatenate(([a], ends[order])), masses[order]
 
 
 # Bound on the tail mass the sampler's table leaves out on each side.
@@ -386,8 +466,7 @@ class SecantSampler:
     def __init__(self, t: float):
         dens = SecantDensity(t)
         cutoff = dens.tail_cutoff(SAMPLER_TAIL_EPS)
-        knots, masses = quad(dens, 0.0, cutoff)
-        xs = np.asarray(knots)
+        xs, masses = quad(dens.values, 0.0, cutoff)
         half_cdf = np.concatenate(([0.0], np.cumsum(masses)))
         total = 2 * half_cdf[-1]
         # Symmetrize and normalize so the table spans exactly [0, 1].

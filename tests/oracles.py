@@ -7,6 +7,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from rhpwn import jsonio
@@ -109,10 +110,41 @@ def mgf_numeric_check(t: float, s: float) -> MgfNumericCheck:
         raise DomainError(f"MGF argument needs |s| < pi/2, got {s}")
     dens = SecantDensity(t)
     cutoff = weighted_tail_cutoff(t, 1e-16, s)
-    numeric = math.fsum(quad(lambda x: 2 * math.cosh(s * x) * dens(x), 0.0, cutoff)[1])
+    numeric = math.fsum(quad(lambda x: 2 * np.cosh(s * x) * dens.values(x), 0.0, cutoff)[1])
     closed = math.exp(-t * math.log(math.cos(s)))
     rel = abs(numeric - closed) / abs(closed)
     return MgfNumericCheck(numeric=numeric, closed_form=closed, rel_err=rel)
+
+
+def recursive_quad(f, a: float, b: float):
+    """Adaptive Simpson quadrature as a depth-first recursion, one point of f
+    per call: the reference for `processes.quad`, which runs level by level.
+
+    64 seed panels cut as `numpy.linspace(a, b, 65)` cuts them; a panel is
+    kept once its Simpson and trapezoid sums agree to 1e-11 + 1e-9 |Simpson|
+    or at depth 30, and halved otherwise.  Returns the lists of knots and of
+    the Simpson mass of each panel, left to right."""
+    knots = [a]
+    masses = []
+
+    def refine(a, b, fa, fb, depth):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        trap = 0.5 * (fa + fb) * (b - a)
+        simpson = (fa + 4 * fm + fb) * (b - a) / 6
+        if depth >= 30 or (abs(simpson - trap) < 1e-11 + 1e-9 * abs(simpson)):
+            knots.append(b)
+            masses.append(simpson)
+            return
+        refine(a, m, fa, fm, depth + 1)
+        refine(m, b, fm, fb, depth + 1)
+
+    step = (b - a) / 64
+    seeds = [i * step + a for i in range(64)] + [b]
+    values = [f(x) for x in seeds]
+    for lo, hi, flo, fhi in zip(seeds, seeds[1:], values, values[1:]):
+        refine(lo, hi, flo, fhi, 0)
+    return knots, masses
 
 
 def kernel_bruteforce(n: int, k: int) -> MuPoly:

@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -617,9 +618,75 @@ def test_split_check_fock_order_message(capsys):
 def test_density_imaginary_residual_is_a_domain_error(capsys, monkeypatch):
     import rhpwn.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod.processes, "complex_log_gamma", lambda z: 1j)
+    monkeypatch.setattr(cli_mod.processes, "log_gamma_array", lambda z: np.full(z.shape, 1j))
     assert_refused(capsys, ["density", "--t", "2", "--x-grid", "0:1:1"],
                    "density residual imaginary part")
+
+
+def _density_mpmath(t, x):
+    import mpmath
+
+    with mpmath.workdps(60):
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+        return 2 ** (t - 1) / (2 * mpmath.pi) * abs(mpmath.gamma((t + 1j * x) / 2)) ** 2 / mpmath.gamma(t)
+
+
+def test_scaled_density_divides_by_sigma_before_it_overflows(capsys):
+    # p_tau(0) at tau = t/2 = 1.25e-309 passes the largest float; p_tau(0)/2 does not
+    code, text = run_cli(["density", "--n", "2", "--t", "2.5e-309", "--x-grid", "0:0:1"])
+    assert code == 0
+    got = float(json.loads(text)["rows"][0]["p"])
+    want = _density_mpmath(1.25e-309, 0) / 2
+    assert abs(got - want) <= 1e-10 * want
+    # where p_tau(y/sigma)/sigma itself overflows, the refusal names the t passed
+    assert_refused(capsys, ["density", "--n", "2", "--t", "1e-309", "--x-grid", "0:0:1"],
+                   "the density at t=1e-309, x=0.0 overflows a float")
+    # the first refused point of the grid, in grid order, is named
+    assert_refused(capsys, ["density", "--n", "3", "--t", "2e-309", "--x-grid=-1e-310:1e-310:1e-310"],
+                   "the density at t=2e-309, x=-1e-310 overflows a float")
+
+
+def _dispatch_features():
+    """The non-baseline CPU features numpy's dispatch can use on this machine."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+_DISPATCH_SCRIPT = """
+import hashlib, io, sys
+from contextlib import redirect_stdout
+from rhpwn.cli import main
+for argv in (["density", "--t", "2.5", "--x-grid=-20:20:1/100"],
+             ["density", "--n", "3", "--t", "1.7", "--x-grid=-30:30:1/50"],
+             ["density", "--t", "0.01", "--x-grid=-1:1:1/1000"],
+             ["sample", "--t", "0.7", "--count", "2000", "--seed", "5"],
+             ["sample", "--t", "9000", "--count", "2000", "--seed", "5"]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_density_and_sample_bytes_do_not_depend_on_cpu_dispatch():
+    # numpy picks SIMD kernels by CPU feature at run time; switching each one
+    # off in turn, and all of them at once, must not move a byte
+    features = _dispatch_features()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature beyond its baseline here")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = {}
+    for disabled in [None] + features + [",".join(features)]:
+        run_env = env if disabled is None else dict(env, NPY_DISABLE_CPU_FEATURES=disabled)
+        run = subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT], env=run_env,
+                             capture_output=True, text=True, check=True)
+        outputs[disabled] = run.stdout
+    assert len(set(outputs.values())) == 1, outputs
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):
@@ -799,14 +866,14 @@ _PINNED_DIGESTS = {
         "5450931757278f9dea275b3637a24233ee89fb5f701176e98855f505ab5f98df",
     ),
     "density": (
-        "03ca73187d16285b6cd79367ca6b47b594641a458a58108dbdf2147cb0bb5b15",
-        "03ca73187d16285b6cd79367ca6b47b594641a458a58108dbdf2147cb0bb5b15",
-        "a389d7f2fc8110f81c59c056da527c0f4e8c6896734d804c587b9a431379b9b9",
+        "1ca7aa55027dd243d59ff8708ece1527fd39ecfd06a2cb135f374ecd6630a7de",
+        "1ca7aa55027dd243d59ff8708ece1527fd39ecfd06a2cb135f374ecd6630a7de",
+        "457397e1c1a151e048eff98e2d49becad8608f59fa47f54795345cc21c814b7c",
     ),
     "density-n": (
-        "b6800053bc8748527b03cdd23092c88b4cdec51fd85b81fb134c5da78c93ec34",
-        "b6800053bc8748527b03cdd23092c88b4cdec51fd85b81fb134c5da78c93ec34",
-        "6680687a43d4b87a8b0999f9f417edc4abb157cb6ad275c0cd9ba02ebbeff33c",
+        "54b1c6f16d393cf70f66608eb0810042106632567daadcf6df589e211ba99bd7",
+        "54b1c6f16d393cf70f66608eb0810042106632567daadcf6df589e211ba99bd7",
+        "d16ac13e18b2983480f5b3bcb3c77fcffe361121ac9dc34d4a61c49820451341",
     ),
     "sample": (
         "045c5c2ebc2868907109fd4da94f9f5f421a3f6358d2e348923b1edb501f79ec",
@@ -814,9 +881,9 @@ _PINNED_DIGESTS = {
         "045c5c2ebc2868907109fd4da94f9f5f421a3f6358d2e348923b1edb501f79ec",
     ),
     "sample-small-t": (
-        "5e400655e78e05ad7314b8873cb4393f0bfbf4c476235bf1dd7ed2317d13f403",
-        "78667bc9a4336d30a7e26fcff444e6c283d2b809ff586c1903d6603ed252d917",
-        "5e400655e78e05ad7314b8873cb4393f0bfbf4c476235bf1dd7ed2317d13f403",
+        "17ad81aff5ee3397c8ace9e94b14e560627c3c1090e893df3619de33063fbd58",
+        "f4fc1279c6e6d0d8b230ba84c809eadb8e1dbd1f88a32d0c53d50d1beb4cfbf0",
+        "17ad81aff5ee3397c8ace9e94b14e560627c3c1090e893df3619de33063fbd58",
     ),
     "classical-check": (
         "d9916332e9f5615e4e73d9635cf5f7bf5d809ff2d064304fedcf0f2a17992c7e",

@@ -7,7 +7,7 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +25,7 @@ from oracles import (
     eval_float,
     mgf_numeric_check,
     mgf_series,
+    recursive_quad,
     v_eval,
     w_eval,
     weighted_tail_cutoff,
@@ -40,8 +41,9 @@ from rhpwn.processes import (
     SecantSampler,
     classical_check,
     complex_log_gamma,
-    even_sweep,
+    log_gamma_array,
     mgf_eval,
+    mgf_sweep,
     riccati_split,
     sample_X,
     scaled_density,
@@ -365,6 +367,45 @@ def test_density_against_mpmath_up_to_the_time_bound():
             assert abs((dens(x) - want) / want) < 1e-10, (t, x)
 
 
+# The largest relative error against mpmath of the scalar evaluator this one
+# replaced, per t: at x in {0, sqrt(t)/2, 2 sqrt(t), 5 sqrt(t)} as the README
+# gave it (its 1e-12 at t = 1e3 was 1.1e-12), and at 200 seeded points of
+# [0, 5 sqrt(t)], rounded up.
+_SCALAR_PATH_ERROR = {
+    1e-300: (1e-13, 1e-13),
+    1e-3: (1e-13, 1e-13),
+    0.3: (1e-13, 1e-13),
+    2.0: (1e-13, 1e-13),
+    8.0: (4e-15, 9e-15),
+    1e3: (1.2e-12, 1.7e-12),
+    1e4: (3e-11, 3e-11),
+}
+
+
+@pytest.mark.parametrize("t", list(_SCALAR_PATH_ERROR))
+def test_array_density_against_mpmath(t):
+    rng = random.Random(int(t * 1000) + 7)
+    root = math.sqrt(t)
+    dens = SecantDensity(t)
+    for bound, xs in zip(_SCALAR_PATH_ERROR[t], (
+        [0.0, 0.5 * root, 2 * root, 5 * root],
+        [rng.uniform(0, 5 * root) for _ in range(200)],
+    )):
+        errors = [abs(float((p - _density_mpmath(t, x)) / _density_mpmath(t, x)))
+                  for p, x in zip(dens.values(xs), xs)]
+        assert max(errors) <= bound, (max(errors), bound)
+
+
+def test_density_at_huge_x_is_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-3, 1.0, processes.MAX_DENSITY_T):
+            for x in (1e20, 1e200, 1e300, sys.float_info.max):
+                assert SecantDensity(t).values([x, -x]).tolist() == [0.0, 0.0], (t, x)
+                assert scaled_density(3, t).values([x]).tolist() == [0.0], (t, x)
+            assert SecantDensity(t)(1e300) == 0.0
+
+
 def test_scaled_density_substitution():
     # n=2: sigma = 2, tau = t/2
     t, y = 1.4, 0.8
@@ -424,13 +465,14 @@ def test_density_bits_match_three_log_gamma_formula():
 
 @pytest.fixture
 def log_gamma_counter(monkeypatch):
+    """The points log Gamma is evaluated at, one entry per point."""
     calls = []
 
     def counting(z):
-        calls.append(z)
-        return complex_log_gamma(z)
+        calls.extend(z.tolist())
+        return log_gamma_array(z)
 
-    monkeypatch.setattr(processes, "complex_log_gamma", counting)
+    monkeypatch.setattr(processes, "log_gamma_array", counting)
     return calls
 
 
@@ -454,6 +496,26 @@ def test_scaled_density_cli_takes_one_log_gamma_per_point(log_gamma_counter):
     assert len(log_gamma_counter) == 12
 
 
+def test_one_point_density_is_the_array_density_bit_for_bit():
+    # A call at one point and `values` over a whole grid give the same bits,
+    # as do complex_log_gamma and log_gamma_array.
+    rng = random.Random(2025)
+    ts = [1e-300, 1e-4, 1.5e-3, 0.3, 1.0, 2.0, 8.0, 50.0, 1e3, processes.MAX_DENSITY_T]
+    ts += [10 ** rng.uniform(-4, 4) for _ in range(20)]
+    xs = [0.0, -0.0, 5e-324, 1e-300, 1e-3, -60.0, 2000.0, 1e300]
+    xs += [rng.uniform(-60.0, 60.0) for _ in range(200)]
+    for t in ts:
+        dens = SecantDensity(t)
+        assert dens.values(xs).tolist() == [dens(x) for x in xs], t
+        zs = np.array([complex(t, x) / 2 for x in xs if x >= 0])
+        with np.errstate(all="ignore"):
+            assert log_gamma_array(zs).tolist() == [complex_log_gamma(z) for z in zs], t
+    for n in (2, 3, 5):
+        for t in ts[:12]:
+            dens = scaled_density(n, t)
+            assert dens.values(xs).tolist() == [dens(x) for x in xs], (n, t)
+
+
 def test_scaled_density_reused_matches_one_point_form():
     rng = random.Random(808)
     for n in (2, 3, 5):
@@ -463,7 +525,7 @@ def test_scaled_density_reused_matches_one_point_form():
             assert dens(y) == scaled_density(n, t)(y), (n, t, y)
 
 
-# -- bitwise evenness, which even_sweep relies on ----------------------------------
+# -- bitwise evenness, which mgf_sweep relies on ----------------------------------
 
 
 def _outcome(f, x):
@@ -523,26 +585,51 @@ def test_mgf_is_even_bit_for_bit(n, u, t):
     assert _outcome(f, -s) == _outcome(f, s), (n, s, t)
 
 
-# -- even_sweep ------------------------------------------------------------------------
+# -- the sweeps ------------------------------------------------------------------------
+
+
+def _sweep_outcome(sweep, xs):
+    """The values of sweep(xs) as float.hex, or the type and message it raised."""
+    try:
+        return [float.hex(float(v)) for v in sweep(xs)]
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+# Points that are refused at t = 1e-309 (p_t overflows near x = 0) and points
+# that are not; signed zeros and the least subnormal.
+_SWEEP_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 2.0]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 5e-324, -5e-324]), max_size=12),
+    st.lists(st.sampled_from(_SWEEP_POINTS), min_size=1, max_size=12),
     st.booleans(),
+    st.sampled_from([1e-309, 2.0]),
+    st.sampled_from([None, 2, 3]),
 )
-def test_even_sweep_is_the_comprehension(xs, ascending):
+def test_density_values_are_the_comprehension(xs, ascending, t, n):
+    # values, or which point raises and with which message
     if ascending:
         xs.sort()
-    calls = []
+    dens = SecantDensity(t) if n is None else scaled_density(n, t)
+    got = _sweep_outcome(dens.values, xs)
+    assert got == _sweep_outcome(lambda xs: [dens(x) for x in xs], xs), (xs, t, n)
 
-    def f(x):
-        calls.append(x)
-        return float.hex(abs(x))
 
-    assert even_sweep(f, xs) == [float.hex(abs(x)) for x in xs]
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.7, -0.7, 0.8, -0.8, 38.0, -38.0]),
+             min_size=1, max_size=12),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_mgf_sweep_is_the_comprehension(ss, ascending, n):
+    # |s| = 0.8 is past the pole for n = 2 and 3, 38 overflows for n = 1
     if ascending:
-        assert len(calls) == sum(1 for x in xs if not (x > 0 and -x in xs))
+        ss.sort()
+    got = _sweep_outcome(lambda ss: mgf_sweep(n, ss, 1.0), ss)
+    assert got == _sweep_outcome(lambda ss: [mgf_eval(n, s, 1.0) for s in ss], ss), (ss, n)
 
 
 def _grid_spec(rng, kind):
@@ -598,7 +685,11 @@ def test_sweeps_write_what_the_comprehension_writes(monkeypatch):
             ["mgf", "--n", str(rng.randint(1, 4)), "--t", t, f"--s-grid={spec}"],
         ]
     swept = [_run_quiet(argv) for argv in cases]
-    monkeypatch.setattr(processes, "even_sweep", lambda f, xs: [f(x) for x in xs])
+    values = SecantDensity.values
+    monkeypatch.setattr(SecantDensity, "values",
+                        lambda dens, xs: np.concatenate([values(dens, [x]) for x in xs]))
+    monkeypatch.setattr(processes, "mgf_sweep",
+                        lambda n, ss, t: [processes.mgf_eval(n, s, t) for s in ss])
     for argv, got in zip(cases, swept):
         assert got == _run_quiet(argv), argv
     # the cases reach both results and refusals
@@ -606,15 +697,17 @@ def test_sweeps_write_what_the_comprehension_writes(monkeypatch):
 
 
 def test_symmetric_density_grid_takes_half_the_log_gammas(log_gamma_counter):
-    # 21 points with 11 distinct |x|, plus log Gamma(t)
-    for argv in (
-        ["density", "--t", "2", "--x-grid=-1:1:1/10"],
-        ["density", "--n", "2", "--t", "2", "--x-grid=-1:1:1/10"],
+    # 21 points with 11 distinct |x|, plus log Gamma(t): one evaluation at
+    # (t + i|x|)/2 per distinct |x|, in ascending order
+    for argv, sigma in (
+        (["density", "--t", "2", "--x-grid=-1:1:1/10"], 1.0),
+        (["density", "--n", "2", "--t", "2", "--x-grid=-1:1:1/10"], 2.0),
     ):
         log_gamma_counter.clear()
         with redirect_stdout(io.StringIO()):
             assert cli_main(argv) == 0
         assert len(log_gamma_counter) == 12, argv
+        assert [z.imag for z in log_gamma_counter[1:]] == [0.5 * (i / 10 / sigma) for i in range(11)]
 
 
 def test_symmetric_mgf_grid_takes_half_the_evaluations(monkeypatch):
@@ -636,18 +729,6 @@ def test_sweep_refuses_at_the_first_failing_point():
     assert json.loads(err)["error"].startswith("the MGF at s=-40.0, ")
 
 
-def test_even_sweep_stores_nothing_beside_its_result():
-    xs = [float(i) for i in range(1, 10**5 + 1)]
-    tracemalloc.start()
-    try:
-        values = even_sweep(lambda x: x * 0.5, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    returned = sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values)
-    assert peak <= returned + 64 * 1024
-
-
 @pytest.mark.parametrize("t", [0.3, 2.0, 8.0])
 @pytest.mark.parametrize("s", [0.0, 0.5])
 def test_quad_against_scipy(t, s):
@@ -659,7 +740,7 @@ def test_quad_against_scipy(t, s):
     def f(x):
         return math.exp(s * x) * dens(x)
 
-    knots, masses = processes.quad(f, 0.0, cutoff)
+    knots, masses = processes.quad(lambda xs: np.exp(s * xs) * dens.values(xs), 0.0, cutoff)
     assert knots[0] == 0.0 and knots[-1] == cutoff
     if s == 0.0:  # the sampler's half table keeps its size
         assert len(knots) == {0.3: 7609, 2.0: 6085, 8.0: 5538}[t]
@@ -669,9 +750,35 @@ def test_quad_against_scipy(t, s):
 
 
 def test_quad_exact_integral():
-    knots, masses = processes.quad(math.exp, -1.0, 2.0)
+    knots, masses = processes.quad(np.exp, -1.0, 2.0)
     assert knots[0] == -1.0 and knots[-1] == 2.0
     assert math.fsum(masses) == pytest.approx(math.e**2 - 1 / math.e, rel=1e-13)
+
+
+@pytest.mark.parametrize("f", [lambda x: 1 / (1 + x * x), lambda x: (x < 1 / 3) * 1.0],
+                         ids=["smooth", "step"])
+def test_quad_is_the_recursion_bit_for_bit(f):
+    # the step keeps halving its panel to the depth cap
+    knots, masses = processes.quad(f, -1.0, 3.0)
+    assert (knots.tolist(), masses.tolist()) == recursive_quad(f, -1.0, 3.0)
+
+
+@pytest.mark.parametrize("t,count", [(0.3, 7609), (2.0, 6085), (8.0, 5538)])
+def test_sampler_table_is_the_recursion_bit_for_bit(t, count):
+    # The recursion is fed the values the level-by-level quad computed, so a
+    # point it asks for that quad never evaluated fails the lookup.
+    dens = SecantDensity(t)
+    table = {}
+
+    def f(xs):
+        values = dens.values(xs)
+        table.update(zip(xs.tolist(), values.tolist()))
+        return values
+
+    cutoff = dens.tail_cutoff(processes.SAMPLER_TAIL_EPS)
+    knots, masses = processes.quad(f, 0.0, cutoff)
+    assert len(knots) == count
+    assert (knots.tolist(), masses.tolist()) == recursive_quad(table.__getitem__, 0.0, cutoff)
 
 
 def test_cli_import_leaves_scipy_out():
