@@ -10,11 +10,13 @@ product
 defined for |f|, |g| < (1/n) sqrt(2/(n(n-1))) pointwise (strict; the log
 kernel diverges at the bound).  Creation acts as a directional derivative of
 psi_n in its argument, so vectors produced by the operators are jets: an
-exponential vector decorated with up to two derivative directions.  Inner
-products of jets are the corresponding mixed partial derivatives of the
-closed-form kernel, computed here with square-free nilpotent arithmetic
-(one first-order infinitesimal per direction) rather than finite
-differences.
+exponential vector decorated with up to two derivative directions.  The
+number operator acts on psi_n(h) as a scalar plus one first-order jet.
+Inner products of jets are the corresponding mixed partial derivatives of
+the closed-form kernel, computed here with square-free nilpotent arithmetic
+rather than finite differences: a nilpotent is a dict from subsets of the
+directions (bitmasks) to coefficients, one first-order infinitesimal per
+direction.
 
 Spaces of different order are orthogonal (the full space is their direct
 sum), so cross-order pairings are 0.
@@ -182,11 +184,7 @@ class JetSum:
         return cls({as_jet(v): coeff})
 
     def __add__(self, other):
-        other = _as_jetsum(other)
-        terms = dict(self.terms)
-        for jet, coeff in other.terms.items():
-            terms[jet] = terms[jet] + coeff if jet in terms else coeff
-        return JetSum(terms)
+        return JetSum([*self.terms.items(), *_as_jetsum(other).terms.items()])
 
     def __sub__(self, other):
         return self + _as_jetsum(other).scaled(-1)
@@ -218,60 +216,38 @@ def _as_jetsum(v) -> JetSum:
     return JetSum.of(v)
 
 
-# -- nilpotent multi-dual arithmetic (one infinitesimal per direction) -------
+# -- nilpotent arithmetic (one infinitesimal per direction) ------------------
+# A nilpotent maps a bitmask S of directions to the coefficient of
+# prod_{i in S} e_i (e_i^2 = 0); zero coefficients are dropped as they appear.
 
 
-class _MultiDual:
-    """Polynomials in square-free infinitesimals e_i (e_i^2 = 0).
+def _dual_mul(a: dict, b: dict) -> dict:
+    """a b: pairs whose masks overlap vanish, the rest add under s | t."""
+    out = {}
+    for s, x in a.items():
+        for t, y in b.items():
+            if not s & t:
+                out[s | t] = out.get(s | t, 0j) + x * y
+    return {s: x for s, x in out.items() if x}
 
-    Keys are frozensets of parameter indices; the coefficient of the full
-    index set is the mixed partial derivative of the represented function.
-    """
 
-    __slots__ = ("terms",)
+def _dual_add(acc: dict, a: dict, c) -> None:
+    """acc += c a, in place."""
+    for s, x in a.items():
+        x *= c
+        if x:
+            acc[s] = acc.get(s, 0j) + x
+            if not acc[s]:
+                del acc[s]
 
-    def __init__(self, terms):
-        self.terms = {s: c for s, c in terms.items() if c != 0}
 
-    @classmethod
-    def affine(cls, c0, linear) -> "_MultiDual":
-        terms = {frozenset(): complex(c0)}
-        for i, ci in linear.items():
-            terms[frozenset((i,))] = complex(ci)
-        return cls(terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            terms[s] = terms.get(s, 0j) + c
-        return _MultiDual(terms)
-
-    def __mul__(self, other):
-        terms = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                if s1 & s2:
-                    continue
-                key = s1 | s2
-                terms[key] = terms.get(key, 0j) + c1 * c2
-        return _MultiDual(terms)
-
-    def scale(self, c) -> "_MultiDual":
-        return _MultiDual({s: v * c for s, v in self.terms.items()})
-
-    def nilpotent_part(self) -> "_MultiDual":
-        return _MultiDual({s: c for s, c in self.terms.items() if s})
-
-    def series(self, coeff) -> "_MultiDual":
-        """sum_{j >= 1} coeff(j) self^j; finite, as self must be nilpotent."""
-        out, power, j = _MultiDual({}), self, 1
-        while power.terms:
-            out = out + power.scale(coeff(j))
-            power, j = power * self, j + 1
-        return out
-
-    def coefficient(self, indices) -> complex:
-        return self.terms.get(frozenset(indices), 0j)
+def _dual_series(a: dict, coeff) -> dict:
+    """sum_{j >= 1} coeff(j) a^j; finite, as a has no constant term."""
+    out, power, j = {}, a, 1
+    while power:
+        _dual_add(out, power, coeff(j))
+        power, j = _dual_mul(power, a), j + 1
+    return out
 
 
 # -- inner products -----------------------------------------------------------
@@ -339,12 +315,10 @@ def jet_inner_product(u, v) -> complex:
     if u.n != v.n:
         return 0j
     n, p, q = u.n, u.order, v.order
-    if p + q > 4:
-        raise UnsupportedOrderError(f"combined jet order {p + q} exceeds 4")
     if n >= 2:
         half, c = order_constants(n)
         gamma = 1 / half
-    exact, exponent, nil = [], 0j, _MultiDual({})
+    exact, exponent, nil = [], 0j, {}
     try:
         for a, b, coeffs in common_refinement([u.base.f, *u.directions, v.base.f, *v.directions]):
             cf, cg = coeffs[0], coeffs[1 + p]
@@ -363,29 +337,28 @@ def jet_inner_product(u, v) -> complex:
                     exact.append((w[0] * length, w[1] * length, w[2] * per))
             if not p + q:
                 continue
-            x = _MultiDual.affine(
-                _to_complex(cf, conjugate=True),
-                {i: _to_complex(d, conjugate=True) for i, d in enumerate(coeffs[1 : 1 + p])},
+            left, right = coeffs[1 : 1 + p], coeffs[2 + p :]
+            xy = _dual_mul(
+                {0: _to_complex(cf, conjugate=True)}
+                | {1 << i: _to_complex(d, conjugate=True) for i, d in enumerate(left)},
+                {0: _to_complex(cg)} | {1 << (p + j): _to_complex(d) for j, d in enumerate(right)},
             )
-            y = _MultiDual.affine(
-                _to_complex(cg),
-                {p + j: _to_complex(d) for j, d in enumerate(coeffs[2 + p :])},
-            )
-            xy = (x * y).nilpotent_part()
-            if not xy.terms:  # no nilpotent part, however long the piece
+            xy.pop(0, None)
+            if not xy:  # no nilpotent part, however long the piece
                 continue
             if n == 1:
-                nil = nil + xy.scale(length / per)
+                _dual_add(nil, xy, length / per)
             else:
                 # log(1 - c xy) = log(base) + log(1 - (c / base) xy_nilpotent)
-                log_1p = xy.scale(c * cmath.exp(-log_base)).series(lambda j: -1 / j)
-                nil = nil + log_1p.scale(-gamma * (length / per))
+                k = c * cmath.exp(-log_base)
+                scaled = {s: z for s, x in xy.items() if (z := x * k)}
+                _dual_add(nil, _dual_series(scaled, lambda j: -1 / j), -gamma * (length / per))
         if n == 1:
             re, im, den = gaussian_sum(exact)
             exponent = complex(re / den, im / den)
         value = cmath.exp(exponent)
         if p + q:
-            value *= nil.series(lambda j: 1 / math.factorial(j)).coefficient(range(p + q))
+            value *= _dual_series(nil, lambda j: 1 / math.factorial(j)).get((1 << (p + q)) - 1, 0j)
     except OverflowError:
         value = cmath.inf
     if not cmath.isfinite(value):
@@ -445,71 +418,53 @@ def apply_creator(n: int, f: StepFunction, v) -> JetVector:
 
 def apply_annihilator(n: int, f: StepFunction, v) -> JetSum:
     """B[0,n](f) psi_n(g) = n (integral f g) psi_n(g)
-    + (n^3(n-1)/2) d/de psi_n(g + e f g^2)."""
+    + (n^3(n-1)/2) d/de psi_n(g + e f g^2).
+
+    On a 1-jet along d this is differentiated along d: the scalar integral
+    adds n (integral f d) psi_n(g), and the curve adds the cross term 2 f d g.
+    """
     jet = as_jet(v)
     if jet.n != n:
         raise UnsupportedGeneratorError(f"annihilator of order {n} on a {jet.n}-vector")
-    if jet.order == 0:
-        return _annihilate_exponential(n, f, jet.base)
-    if jet.order == 1:
-        return _annihilate_first_jet(n, f, jet)
-    raise UnsupportedOrderError("annihilator implemented on jets of order <= 1")
-
-
-def _annihilate_exponential(n: int, f: StepFunction, v: ExponentialVector) -> JetSum:
-    g = v.f
-    scalar = (f * g).integral() * n
-    weight = order_constants(n)[1]
-    return JetSum(
-        [
-            (JetVector(v), scalar),
-            (JetVector(v, (f * g * g,)), ComplexRational(weight)),
-        ]
-    )
-
-
-def _annihilate_first_jet(n: int, f: StepFunction, jet: JetVector) -> JetSum:
-    # Differentiate the exponential-vector action along the jet direction d:
-    # the scalar integral contributes along d, the derivative term becomes a
-    # two-parameter curve with cross term 2 f d g.
+    if jet.order > 1:
+        raise UnsupportedOrderError("annihilator implemented on jets of order <= 1")
     g = jet.base.f
-    (d,) = jet.directions
     weight = ComplexRational(order_constants(n)[1])
-    return JetSum(
-        [
+    terms = [
+        (jet, (f * g).integral() * n),
+        (JetVector(jet.base, jet.directions + (f * g * g,)), weight),
+    ]
+    if jet.order:
+        (d,) = jet.directions
+        terms = [
             (JetVector(jet.base), (f * d).integral() * n),
-            (JetVector(jet.base, (d,)), (f * g).integral() * n),
-            (JetVector(jet.base, (d, f * g * g)), weight),
+            *terms,
             (JetVector(jet.base, ((f * d * g).scaled(2),)), weight),
         ]
-    )
-
-
-def _mixed_curve_jet(base: ExponentialVector, d_eps, d_rho, d_cross) -> JetSum:
-    """d^2/(de dr) psi_n along a surface with tangent directions and curvature."""
-    return JetSum(
-        [
-            (JetVector(base, (d_eps, d_rho)), 1),
-            (JetVector(base, (d_cross,)), 1),
-        ]
-    )
+    return JetSum(terms)
 
 
 def apply_number(n: int, f: StepFunction, g: StepFunction, v) -> JetSum:
-    """B[n-1,n-1](f g) on psi_n(h): scalar part (1/n) integral(f g) plus the
-    weighted difference of the two mixed second derivatives."""
+    """B[n-1,n-1](f g) on psi_n(h): the scalar part (1/n) integral(f g) times
+    psi_n(h), plus n(n-1)/2 times the first-order jet of psi_n(h) along
+    2 f g h.
+
+    It is the weighted difference of two mixed second derivatives of psi_n,
+    along the curves h + e g + r f h^2 + 2 e r f g h and h + e f h^2 + r g;
+    their second-order jets agree, as mixed partials commute, and cancel.
+    """
     jet = as_jet(v)
     if jet.n != n:
         raise UnsupportedGeneratorError(f"number operator of order {n} on a {jet.n}-vector")
     if jet.order != 0:
         raise UnsupportedOrderError("number operator implemented on exponential vectors")
     h = jet.base.f
-    scalar = (f * g).integral() * Fraction(1, n)
-    weight = ComplexRational(Fraction(order_constants(n)[0], n))
-    first = _mixed_curve_jet(jet.base, g, f * h * h, (f * g * h).scaled(2))
-    second = _mixed_curve_jet(jet.base, f * h * h, g, StepFunction.zero())
-    out = JetSum({JetVector(jet.base): scalar})
-    return out + (first - second).scaled(weight)
+    return JetSum(
+        [
+            (jet, (f * g).integral() * Fraction(1, n)),
+            (JetVector(jet.base, ((f * g * h).scaled(2),)), Fraction(order_constants(n)[0], n)),
+        ]
+    )
 
 
 # -- generic representation via the commutator prescription -------------------

@@ -125,16 +125,11 @@ def decode_step_function(value, pointer="") -> StepFunction:
         raise SchemaError(pointer, str(exc)) from exc
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """A ratio already in lowest terms as "p" or "p/q"."""
-    return f"{num}/{den}" if den != 1 else str(num)
-
-
 def encode_step_function(fn: StepFunction) -> list:
     """The pieces of `fn`: its endpoints are stored reduced and written as
     they are; each coefficient part is reduced over the shared denominator."""
     return [
-        {"a": _ratio_text(*a), "b": _ratio_text(*b),
+        {"a": rational_str(*a), "b": rational_str(*b),
          "re": rational_str(re, den), "im": rational_str(im, den)}
         for a, b, (re, im, den) in fn.rows
     ]

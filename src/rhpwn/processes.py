@@ -423,14 +423,13 @@ def quad(f, a: float, b: float):
     is 30 halvings deep; the others are halved, and all the midpoints of one
     level go through one call of f.  Returns the arrays of knots
     a = x_0 < ... < x_m = b and of the Simpson mass of each panel: fed the
-    same values of f, what the depth-first recursion returns, bit for bit.
+    same values of f, what the depth-first recursion returns, bit for bit,
+    where b - a exceeds 2^-14 max(|a|, |b|), as it does for a = 0, so that
+    floats resolve the narrowest panels.
     """
     cuts = np.linspace(a, b, 65)
     f_cuts = f(cuts)
     lo, hi, f_lo, f_hi = cuts[:-1], cuts[1:], f_cuts[:-1], f_cuts[1:]
-    # A panel's key is its left end in the complete tree of halvings, so
-    # sorting by key restores the left-to-right order of the knots.
-    key = np.arange(64, dtype=np.int64) << _QUAD_MAX_DEPTH
     kept = []
     for depth in range(_QUAD_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
@@ -439,19 +438,19 @@ def quad(f, a: float, b: float):
         trap = 0.5 * (f_lo + f_hi) * width
         simpson = (f_lo + 4 * f_mid + f_hi) * width / 6
         if depth == _QUAD_MAX_DEPTH:
-            kept.append((key, hi, simpson))
+            kept.append((hi, simpson))
             break
         keep = np.abs(simpson - trap) < 1e-11 + 1e-9 * np.abs(simpson)
-        kept.append((key[keep], hi[keep], simpson[keep]))
+        kept.append((hi[keep], simpson[keep]))
         split = ~keep
         if not split.any():
             break
-        key = np.concatenate((key[split], key[split] + (1 << (_QUAD_MAX_DEPTH - 1 - depth))))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         f_lo = np.concatenate((f_lo[split], f_mid[split]))
         f_hi = np.concatenate((f_mid[split], f_hi[split]))
-    keys, ends, masses = (np.concatenate(column) for column in zip(*kept))
-    order = np.argsort(keys)
+    ends, masses = (np.concatenate(column) for column in zip(*kept))
+    # Kept panels are disjoint and >= (b - a) 2^-36 wide, so right ends differ.
+    order = np.argsort(ends)
     return np.concatenate(([a], ends[order])), masses[order]
 
 

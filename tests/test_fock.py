@@ -407,6 +407,23 @@ def test_number_order_one_has_no_jets():
     h = rand_admissible(rng, 1)
     out = apply_number(1, CHI12, CHI12, ExponentialVector(1, h))
     assert out == JetSum.of(ExponentialVector(1, h), (CHI12 * CHI12).integral())
+    # B[n-1,n-1](f g) psi_n(h) = (1/n)(integral f g) psi_n(h)
+    # + (n(n-1)/2) jet(psi_n(h); 2 f g h), worked out by hand:
+    # integral f g = (1+i)/2 - 1/12, and 2 f g h is (3+i)/40 on [1,2), -1/90 on [2,5/2)
+    f = StepFunction([(0, 2, ComplexRational(1, 1)), (2, 3, Fraction(-1, 3))])
+    g = StepFunction.indicator(1, Fraction(5, 2), Fraction(1, 2))
+    h = StepFunction([(Fraction(1, 2), 2, ComplexRational(Fraction(1, 20), Fraction(-1, 40))),
+                      (2, 3, Fraction(1, 30))])
+    fgh2 = StepFunction([(1, 2, ComplexRational(Fraction(3, 40), Fraction(1, 40))),
+                         (2, Fraction(5, 2), Fraction(-1, 90))])
+    for n in (1, 2, 3, 4):
+        psi = ExponentialVector(n, h)
+        expected = JetSum([
+            (JetVector(psi), ComplexRational(Fraction(5, 12 * n), Fraction(1, 2 * n))),
+            (JetVector(psi, (fgh2,)), Fraction(n * (n - 1), 2)),
+        ])
+        assert apply_number(n, f, g, psi) == expected
+        assert len(expected.terms) == (1 if n == 1 else 2)
 
 
 def test_jet_pairs_with_vacuum():

@@ -214,15 +214,20 @@ def test_warm_reduction_of_a_long_word_traces_below_1_4_mb():
     # a second time in the process.  The first reduction fills the
     # interpreter's free lists, which serve objects without a traced
     # allocation: the warm peak is about 0.95 MB.  A full collection empties
-    # those lists, and right after gc.collect() the peak is about 1.397 MB.
-    reduce_untruncated_with_stats(long_creator_annihilator_word())
-    w = long_creator_annihilator_word()
-    tracemalloc.start()
+    # those lists, and right after gc.collect() the peak is about 1.397 MB,
+    # so automatic collection is off from the warm-up through the traced call.
+    gc.disable()
     try:
-        reduce_untruncated_with_stats(w)
-        peak = tracemalloc.get_traced_memory()[1]
+        reduce_untruncated_with_stats(long_creator_annihilator_word())
+        w = long_creator_annihilator_word()
+        tracemalloc.start()
+        try:
+            reduce_untruncated_with_stats(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        gc.enable()
     assert peak < 1_400_000
 
 
