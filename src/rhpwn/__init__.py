@@ -32,7 +32,6 @@ from .fock import (
     ExponentialVector,
     GramReport,
     JetSum,
-    JetVector,
     apply_annihilator,
     apply_creator,
     apply_number,

@@ -9,14 +9,14 @@ product
 
 defined for |f|, |g| < (1/n) sqrt(2/(n(n-1))) pointwise (strict; the log
 kernel diverges at the bound).  Creation acts as a directional derivative of
-psi_n in its argument, so vectors produced by the operators are jets: an
-exponential vector decorated with up to two derivative directions.  The
-number operator acts on psi_n(h) as a scalar plus one first-order jet.
-Inner products of jets are the corresponding mixed partial derivatives of
-the closed-form kernel, computed here with square-free nilpotent arithmetic
-rather than finite differences: a nilpotent is a dict from subsets of the
-directions (bitmasks) to coefficients, one first-order infinitesimal per
-direction.
+psi_n in its argument, so vectors produced by the operators are jets:
+psi_n(f) differentiated along up to two directions, which
+`ExponentialVector` carries itself.  The number operator acts on psi_n(h)
+as a scalar plus one first-order jet.  Inner products of jets are the
+corresponding mixed partial derivatives of the closed-form kernel, computed
+here with square-free nilpotent arithmetic rather than finite differences: a
+nilpotent is a dict from subsets of the directions (bitmasks) to
+coefficients, one first-order infinitesimal per direction.
 
 Spaces of different order are orthogonal (the full space is their direct
 sum), so cross-order pairings are 0.
@@ -88,48 +88,28 @@ def require_admissible(n: int, f: StepFunction):
 
 @dataclass(frozen=True, slots=True, repr=False)
 class ExponentialVector:
-    """psi_n(f): the product of creator exponentials over the pieces of f.
+    """psi_n(f), or its iterated directional derivative along `directions`.
 
-    psi_n(0) is the vacuum.  The test function must satisfy the order-n
-    sup-norm bound strictly.
-    """
-
-    n: int
-    f: StepFunction
-
-    def __post_init__(self):
-        require_admissible(self.n, self.f)
-
-    def __str__(self):
-        return f"psi_{self.n}({self.f})"
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True, slots=True, repr=False)
-class JetVector:
-    """Iterated directional derivative of psi_n at its argument.
-
-    directions = (d1, ..., dp), p <= 2, means
+    psi_n(f) is the product of creator exponentials over the pieces of f, and
+    psi_n(0) is the vacuum; f must satisfy the order-n sup-norm bound
+    strictly.  directions = (d1, ..., dp), p <= 2, means
     d^p/(de_1 ... de_p) psi_n(f + e_1 d_1 + ... + e_p d_p) at e = 0.
     Mixed partials commute, so directions are kept sorted; a zero direction
     makes the whole vector zero.
     """
 
-    base: ExponentialVector
+    n: int
+    f: StepFunction
     directions: tuple = ()
 
     def __post_init__(self):
+        require_admissible(self.n, self.f)
         directions = tuple(sorted(self.directions, key=lambda d: d.sort_key()))
         if len(directions) > 2:
             raise UnsupportedOrderError(
                 f"jet order capped at 2, got {len(directions)} directions"
             )
         object.__setattr__(self, "directions", directions)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
     @property
     def order(self) -> int:
@@ -140,20 +120,13 @@ class JetVector:
         return any(d.is_zero for d in self.directions)
 
     def __str__(self):
+        psi = f"psi_{self.n}({self.f})"
         if not self.directions:
-            return str(self.base)
+            return psi
         dirs = "; ".join(str(d) for d in self.directions)
-        return f"jet({self.base}; {dirs})"
+        return f"jet({psi}; {dirs})"
 
     __repr__ = __str__
-
-
-def as_jet(v) -> JetVector:
-    if isinstance(v, JetVector):
-        return v
-    if isinstance(v, ExponentialVector):
-        return JetVector(v)
-    raise TypeError(f"expected a jet or exponential vector, got {v!r}")
 
 
 class JetSum:
@@ -181,7 +154,7 @@ class JetSum:
 
     @classmethod
     def of(cls, v, coeff=1) -> "JetSum":
-        return cls({as_jet(v): coeff})
+        return cls({v: coeff})
 
     def __add__(self, other):
         return JetSum([*self.terms.items(), *_as_jetsum(other).terms.items()])
@@ -211,9 +184,7 @@ class JetSum:
 
 
 def _as_jetsum(v) -> JetSum:
-    if isinstance(v, JetSum):
-        return v
-    return JetSum.of(v)
+    return v if isinstance(v, JetSum) else JetSum.of(v)
 
 
 # -- nilpotent arithmetic (one infinitesimal per direction) ------------------
@@ -310,8 +281,6 @@ def jet_inner_product(u, v) -> complex:
     that does add or the value leaves the float range; an exponent below it
     gives 0.
     """
-    u = as_jet(u)
-    v = as_jet(v)
     if u.n != v.n:
         return 0j
     n, p, q = u.n, u.order, v.order
@@ -320,7 +289,7 @@ def jet_inner_product(u, v) -> complex:
         gamma = 1 / half
     exact, exponent, nil = [], 0j, {}
     try:
-        for a, b, coeffs in common_refinement([u.base.f, *u.directions, v.base.f, *v.directions]):
+        for a, b, coeffs in common_refinement([u.f, *u.directions, v.f, *v.directions]):
             cf, cg = coeffs[0], coeffs[1 + p]
             length, per = b[0] * a[1] - a[0] * b[1], a[1] * b[1]
             if cf is ZERO or cg is ZERO:
@@ -368,8 +337,7 @@ def jet_inner_product(u, v) -> complex:
 
 def pair(u, v) -> complex:
     """Sesquilinear extension of jet_inner_product to formal jet sums."""
-    us = _as_jetsum(u)
-    vs = _as_jetsum(v)
+    us, vs = _as_jetsum(u), _as_jetsum(v)
     total = 0j
     for ju, cu in us.terms.items():
         for jv, cv in vs.terms.items():
@@ -406,45 +374,43 @@ def gram_psd_check(n: int, fs, tol: float) -> GramReport:
 # -- operator actions ---------------------------------------------------------
 
 
-def apply_creator(n: int, f: StepFunction, v) -> JetVector:
+def apply_creator(n: int, f: StepFunction, v: ExponentialVector) -> ExponentialVector:
     """B[n,0](f): shift the exponential-vector argument along f (a 1-jet)."""
-    jet = as_jet(v)
-    if jet.n != n:
-        raise UnsupportedGeneratorError(f"creator of order {n} on a {jet.n}-vector")
-    if jet.order >= 2:
+    if v.n != n:
+        raise UnsupportedGeneratorError(f"creator of order {n} on a {v.n}-vector")
+    if v.order >= 2:
         raise UnsupportedOrderError("creator on a jet of order 2 would exceed the cap")
-    return JetVector(jet.base, jet.directions + (f,))
+    return ExponentialVector(n, v.f, v.directions + (f,))
 
 
-def apply_annihilator(n: int, f: StepFunction, v) -> JetSum:
+def apply_annihilator(n: int, f: StepFunction, v: ExponentialVector) -> JetSum:
     """B[0,n](f) psi_n(g) = n (integral f g) psi_n(g)
     + (n^3(n-1)/2) d/de psi_n(g + e f g^2).
 
     On a 1-jet along d this is differentiated along d: the scalar integral
     adds n (integral f d) psi_n(g), and the curve adds the cross term 2 f d g.
     """
-    jet = as_jet(v)
-    if jet.n != n:
-        raise UnsupportedGeneratorError(f"annihilator of order {n} on a {jet.n}-vector")
-    if jet.order > 1:
+    if v.n != n:
+        raise UnsupportedGeneratorError(f"annihilator of order {n} on a {v.n}-vector")
+    if v.order > 1:
         raise UnsupportedOrderError("annihilator implemented on jets of order <= 1")
-    g = jet.base.f
+    g = v.f
     weight = ComplexRational(order_constants(n)[1])
     terms = [
-        (jet, (f * g).integral() * n),
-        (JetVector(jet.base, jet.directions + (f * g * g,)), weight),
+        (v, (f * g).integral() * n),
+        (ExponentialVector(n, g, v.directions + (f * g * g,)), weight),
     ]
-    if jet.order:
-        (d,) = jet.directions
+    if v.order:
+        (d,) = v.directions
         terms = [
-            (JetVector(jet.base), (f * d).integral() * n),
+            (ExponentialVector(n, g), (f * d).integral() * n),
             *terms,
-            (JetVector(jet.base, ((f * d * g).scaled(2),)), weight),
+            (ExponentialVector(n, g, ((f * d * g).scaled(2),)), weight),
         ]
     return JetSum(terms)
 
 
-def apply_number(n: int, f: StepFunction, g: StepFunction, v) -> JetSum:
+def apply_number(n: int, f: StepFunction, g: StepFunction, v: ExponentialVector) -> JetSum:
     """B[n-1,n-1](f g) on psi_n(h): the scalar part (1/n) integral(f g) times
     psi_n(h), plus n(n-1)/2 times the first-order jet of psi_n(h) along
     2 f g h.
@@ -453,16 +419,15 @@ def apply_number(n: int, f: StepFunction, g: StepFunction, v) -> JetSum:
     along the curves h + e g + r f h^2 + 2 e r f g h and h + e f h^2 + r g;
     their second-order jets agree, as mixed partials commute, and cancel.
     """
-    jet = as_jet(v)
-    if jet.n != n:
-        raise UnsupportedGeneratorError(f"number operator of order {n} on a {jet.n}-vector")
-    if jet.order != 0:
+    if v.n != n:
+        raise UnsupportedGeneratorError(f"number operator of order {n} on a {v.n}-vector")
+    if v.order != 0:
         raise UnsupportedOrderError("number operator implemented on exponential vectors")
-    h = jet.base.f
+    h = v.f
     return JetSum(
         [
-            (jet, (f * g).integral() * Fraction(1, n)),
-            (JetVector(jet.base, ((f * g * h).scaled(2),)), Fraction(order_constants(n)[0], n)),
+            (v, (f * g).integral() * Fraction(1, n)),
+            (ExponentialVector(n, h, ((f * g * h).scaled(2),)), Fraction(order_constants(n)[0], n)),
         ]
     )
 
@@ -481,13 +446,13 @@ class GeneratorOp:
     fn: StepFunction
 
     def apply(self, state) -> JetSum:
-        state = _as_jetsum(state)
-        out = JetSum()
-        for jet, coeff in state.terms.items():
-            out = out + self._apply_jet(jet).scaled(coeff)
-        return out
+        return JetSum([
+            (jet, c * coeff)
+            for v, coeff in _as_jetsum(state).terms.items()
+            for jet, c in self._apply_jet(v).terms.items()
+        ])
 
-    def _apply_jet(self, jet: JetVector) -> JetSum:
+    def _apply_jet(self, jet: ExponentialVector) -> JetSum:
         m = jet.n
         n, k = self.n, self.k
         if (n, k) == (0, 0):
@@ -513,7 +478,6 @@ class ScaledCommutatorOp:
     right: GeneratorOp
 
     def apply(self, state) -> JetSum:
-        state = _as_jetsum(state)
         lr = self.left.apply(self.right.apply(state))
         rl = self.right.apply(self.left.apply(state))
         return (lr - rl).scaled(self.scale)

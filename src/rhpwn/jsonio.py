@@ -8,9 +8,10 @@ Wire formats (exact rationals are encoded as "p/q" strings):
   mu polynomial   {"mu_poly": ["c0", "c1", ...]}
 
 Decoders validate shape strictly (unknown fields rejected) and raise
-SchemaError carrying the JSON-pointer of the offending node.  The step
-function decoder reads each distinct string of a function once, through a
-table that lives for one call, and builds a pointer only when it raises.
+SchemaError carrying the JSON-pointer of the offending node.  Every exact
+rational is read by `scalars.read_rational`, whose memo reads a repeated short
+string once across calls; the step function decoder builds a pointer only
+when it raises.
 
 `write_json` is the one writer of the command line's JSON: the bytes the
 standard `json` module writes with indent=2, ASCII only, streamed, for dicts
@@ -79,23 +80,14 @@ _PIECE_FIELDS = frozenset(("a", "b", "re", "im"))
 def decode_step_function(value, pointer="") -> StepFunction:
     """The step function of a list of pieces, read as ints.
 
-    Each distinct string is read once per call: a table scoped to the call
-    maps each string read so far to its (num, den).  Only strings that read
-    go into it, so a refused string raises where it first occurs.  Each
-    piece is read and its interval checked before the next is read; a
-    straddle or an overlap is reported once every piece has been read.
-    The JSON pointer of a piece or a field is built only to raise.
+    Each field goes through `read_rational`, whose memo reads a repeated short
+    string once.  Each piece is read and its interval checked before the
+    next is read; a straddle or an overlap is reported once every piece has
+    been read.  The JSON pointer of a piece or a field is built only to
+    raise, at the first refused field.
     """
     items = _require_list(value, pointer)
-    table = {}  # str -> (num, den), the strings of this call that read
-    lookup = table.get
     i = 0
-
-    def read(text):
-        pair = read_rational(text)
-        if type(text) is str:  # True == 1 and hashes alike: key on str only
-            table[text] = pair
-        return pair
 
     def rows():
         nonlocal i
@@ -104,11 +96,8 @@ def decode_step_function(value, pointer="") -> StepFunction:
                     and "a" in item and "b" in item and "re" in item):
                 _require_object(item, f"{pointer}/{i}", _PIECE_REQUIRED, _PIECE_FIELDS)
             try:
-                a, b, re, im = item["a"], item["b"], item["re"], item.get("im", "0")
-                a = lookup(a) or read(a)
-                b = lookup(b) or read(b)
-                re = lookup(re) or read(re)
-                im = lookup(im) or read(im)
+                a, b = read_rational(item["a"]), read_rational(item["b"])
+                re, im = read_rational(item["re"]), read_rational(item.get("im", "0"))
             except (TypeError, ValueError):
                 for key in ("a", "b", "re", "im"):  # raises at the refused field
                     _read_rational(item.get(key, "0"), f"{pointer}/{i}/{key}")

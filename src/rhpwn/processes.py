@@ -331,32 +331,28 @@ class SecantDensity:
     def values(self, xs) -> np.ndarray:
         """The density at each point of xs, in their order.
 
-        Raises at the first point, in that order, whose |x| is refused: where
-        the value overflows a float, or where its imaginary residual is not
-        negligible.
+        Raises at the first point, in that order, where the value is not a
+        finite float: a NaN x, or a value that overflows.  At real x the
+        imaginary part of the exponent is exactly 0, so the value is real.
         """
         xs = np.asarray(xs, dtype=float)
         distinct, back = np.unique(np.abs(xs), return_inverse=True)
-        value = np.empty(distinct.shape, dtype=complex)
+        p = np.empty(distinct.shape)
         with np.errstate(all="ignore"):
             for lo in range(0, len(distinct), _CHUNK):
-                value[lo:lo + _CHUNK] = np.exp(self._exponent(distinct[lo:lo + _CHUNK]))
-            p = value.real / self.scale
+                p[lo:lo + _CHUNK] = np.exp(self._exponent(distinct[lo:lo + _CHUNK])).real
+            p /= self.scale
             huge = np.isinf(p)
             if huge.any():  # p_t near x = 0 once t < about 1.8e-309: p_t(0) ~ 1/(pi t)
                 p[huge] = np.exp(self._exponent(distinct[huge]) - math.log(self.scale)).real
-        overflow = np.isinf(p)
-        residual = np.abs(value.imag) >= 1e-12 * np.maximum(1.0, np.abs(value.real))
-        refused = (overflow | residual)[back]
+        p = p[back]
+        refused = ~np.isfinite(p)
         if refused.any():
-            first = int(refused.argmax())
-            x, j = float(xs[first]), back[first]
-            if overflow[j]:
-                raise DomainError(f"the density at t={self.shown_t}, x={x} overflows a float")
-            raise DomainError(
-                f"density residual imaginary part {float(value.imag[j])} at ({self.shown_t}, {x})"
-            )
-        return p[back]
+            x = float(xs[refused.argmax()])
+            if math.isnan(x):
+                raise DomainError(f"the density at t={self.shown_t} needs a number, got x={x}")
+            raise DomainError(f"the density at t={self.shown_t}, x={x} overflows a float")
+        return p
 
     def _exponent(self, u: np.ndarray) -> np.ndarray:
         """log p_t(u / scale), complex, at each u >= 0."""
@@ -422,10 +418,11 @@ def quad(f, a: float, b: float):
     Simpson and trapezoid sums agree to 1e-11 + 1e-9 |Simpson|, or once it
     is 30 halvings deep; the others are halved, and all the midpoints of one
     level go through one call of f.  Returns the arrays of knots
-    a = x_0 < ... < x_m = b and of the Simpson mass of each panel: fed the
-    same values of f, what the depth-first recursion returns, bit for bit,
-    where b - a exceeds 2^-14 max(|a|, |b|), as it does for a = 0, so that
-    floats resolve the narrowest panels.
+    a = x_0, ..., x_m = b and of the Simpson mass of each panel.  Where
+    b - a > 2^-14 max(|a|, |b|), floats resolve the narrowest panels: the
+    knots increase strictly and, fed the same values of f, the result is what
+    the depth-first recursion returns, bit for bit.  Every caller has a = 0;
+    on a narrower interval knots may repeat.
     """
     cuts = np.linspace(a, b, 65)
     f_cuts = f(cuts)
@@ -449,7 +446,8 @@ def quad(f, a: float, b: float):
         f_lo = np.concatenate((f_lo[split], f_mid[split]))
         f_hi = np.concatenate((f_mid[split], f_hi[split]))
     ends, masses = (np.concatenate(column) for column in zip(*kept))
-    # Kept panels are disjoint and >= (b - a) 2^-36 wide, so right ends differ.
+    # Kept panels are disjoint and >= (b - a) 2^-36 wide, so right ends differ
+    # where floats resolve that width.
     order = np.argsort(ends)
     return np.concatenate(([a], ends[order])), masses[order]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
@@ -31,16 +32,24 @@ def read_rational(value) -> tuple:
     finite float (its exact binary value) or a "p/q" or decimal string is read
     exactly.  A bool or any other type raises TypeError; NaN, an infinity, a
     zero denominator, a malformed string or a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT raises ValueError.
+    MAX_DECIMAL_EXPONENT raises ValueError.  A string of at most
+    MEMO_TEXT_LENGTH characters is read through a memo of the last MEMO_SIZE
+    distinct such strings that read; a refused one raises each time.
     """
     kind = type(value)
-    if kind is not str:
-        if kind is Fraction:
-            return value.numerator, value.denominator
-        if kind is int:
-            return value, 1
-        if isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction)):
-            raise TypeError(f"cannot read a rational from {value!r}")
+    if kind is Fraction:
+        return value.numerator, value.denominator
+    if kind is int:
+        return value, 1
+    if isinstance(value, str):
+        if len(value) <= MEMO_TEXT_LENGTH:
+            return _read_memo(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise TypeError(f"cannot read a rational from {value!r}")
+    return _read(value)
+
+
+def _read(value) -> tuple:
     try:
         if isinstance(value, str):
             ratio = _INTEGER_RATIO.fullmatch(value)
@@ -59,6 +68,12 @@ def read_rational(value) -> tuple:
     except (ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"not a rational number: {value!r}") from None
     return exact.numerator, exact.denominator
+
+
+# Fraction accepts whitespace padding of any length, so the memo keeps only
+# short strings, read as ints of fewer than 256 + MAX_DECIMAL_EXPONENT digits.
+MEMO_SIZE, MEMO_TEXT_LENGTH = 4096, 256
+_read_memo = lru_cache(maxsize=MEMO_SIZE)(_read)
 
 
 def parse_fraction(value) -> Fraction:

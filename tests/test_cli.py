@@ -11,7 +11,6 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -613,14 +612,6 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
 def test_split_check_fock_order_message(capsys):
     assert_refused(capsys, ["split-check", "--n", "0"], "Fock order must be >= 1, got 0")
-
-
-def test_density_imaginary_residual_is_a_domain_error(capsys, monkeypatch):
-    import rhpwn.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.processes, "log_gamma_array", lambda z: np.full(z.shape, 1j))
-    assert_refused(capsys, ["density", "--t", "2", "--x-grid", "0:1:1"],
-                   "density residual imaginary part")
 
 
 def _density_mpmath(t, x):

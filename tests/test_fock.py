@@ -18,7 +18,6 @@ from rhpwn.errors import (
 from rhpwn.fock import (
     ExponentialVector,
     JetSum,
-    JetVector,
     apply_annihilator,
     apply_creator,
     apply_number,
@@ -356,6 +355,38 @@ def test_jet_order_cap():
     assert j2.order == 2
     with pytest.raises(UnsupportedOrderError):
         apply_creator(3, f, j2)
+    with pytest.raises(UnsupportedOrderError):
+        ExponentialVector(3, f, (f, f, f))
+
+
+# Two directions given out of order; the text is what the two-class spelling
+# of the same jet printed.
+_D1 = StepFunction([(0, 1, ComplexRational(Fraction(1, 3), Fraction(-1, 5))), (2, Fraction(5, 2), 1)])
+_D2 = StepFunction.indicator(1, 2, Fraction(1, 7))
+_F = StepFunction.indicator(Fraction(1, 2), 2, Fraction(1, 10))
+
+
+def test_jet_directions_are_sorted():
+    a, b = ExponentialVector(2, _F, (_D1, _D2)), ExponentialVector(2, _F, (_D2, _D1))
+    assert a == b and hash(a) == hash(b)
+    assert a.directions == b.directions and a.order == 2
+    assert a != ExponentialVector(2, _F, (_D1,)) != ExponentialVector(2, _F)
+    assert ExponentialVector(2, _F, (_D1, StepFunction.zero())).is_zero
+    assert not a.is_zero and not ExponentialVector(2, _F).is_zero
+
+
+def test_jet_text_is_pinned():
+    assert str(ExponentialVector(2, _F, (_D2, _D1))) == (
+        "jet(psi_2((1/10)*chi[1/2,2)); (1/3-1/5i)*chi[0,1) + (1)*chi[2,5/2); (1/7)*chi[1,2))"
+    )
+    assert str(ExponentialVector(2, _F)) == repr(ExponentialVector(2, _F)) == "psi_2((1/10)*chi[1/2,2))"
+
+
+def test_jet_argument_must_be_admissible():
+    # the bound holds for the argument, with or without directions
+    for directions in ((), (_D1,), (_D1, _D2)):
+        with pytest.raises(DomainError):
+            ExponentialVector(3, CHI12, directions)
 
 
 def test_creator_norm_is_kernel():
@@ -387,8 +418,8 @@ def test_annihilator_order_two_example():
     out = apply_annihilator(2, CHI12, ExponentialVector(2, g))
     expected = JetSum(
         [
-            (JetVector(ExponentialVector(2, g)), ComplexRational(2 * c)),
-            (JetVector(ExponentialVector(2, g), (CHI12.scaled(c * c),)), 4),
+            (ExponentialVector(2, g), ComplexRational(2 * c)),
+            (ExponentialVector(2, g, (CHI12.scaled(c * c),)), 4),
         ]
     )
     assert out == expected
@@ -419,8 +450,8 @@ def test_number_order_one_has_no_jets():
     for n in (1, 2, 3, 4):
         psi = ExponentialVector(n, h)
         expected = JetSum([
-            (JetVector(psi), ComplexRational(Fraction(5, 12 * n), Fraction(1, 2 * n))),
-            (JetVector(psi, (fgh2,)), Fraction(n * (n - 1), 2)),
+            (psi, ComplexRational(Fraction(5, 12 * n), Fraction(1, 2 * n))),
+            (ExponentialVector(n, h, (fgh2,)), Fraction(n * (n - 1), 2)),
         ])
         assert apply_number(n, f, g, psi) == expected
         assert len(expected.terms) == (1 if n == 1 else 2)
@@ -428,12 +459,12 @@ def test_number_order_one_has_no_jets():
 
 def test_jet_pairs_with_vacuum():
     d = CHI12.scaled(Fraction(1, 3))
-    j = JetVector(vac(2), (d,))
+    j = ExponentialVector(2, StepFunction.zero(), (d,))
     assert jet_inner_product(vac(2), j) == 0
     # <jet(0, f), psi_1(h)> = integral conj(f) h
     f = CHI12.scaled(ComplexRational(Fraction(1, 2), Fraction(1, 5)))
     h = CHI12.scaled(Fraction(1, 3))
-    got = jet_inner_product(JetVector(vac(1), (f,)), ExponentialVector(1, h))
+    got = jet_inner_product(ExponentialVector(1, StepFunction.zero(), (f,)), ExponentialVector(1, h))
     expected = (f.conjugate() * h).integral().to_complex()
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -503,7 +534,7 @@ def test_jet_matches_finite_difference_first_order():
         f = rand_admissible(rng, n)
         g = rand_admissible(rng, n)
         d = rand_admissible(rng, n)
-        got = jet_inner_product(JetVector(ExponentialVector(n, f), (d,)), ExponentialVector(n, g))
+        got = jet_inner_product(ExponentialVector(n, f, (d,)), ExponentialVector(n, g))
         fd = _fd_first_derivative(n, f, d, g)
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
@@ -517,7 +548,7 @@ def test_jet_matches_finite_difference_second_order():
         g = rand_admissible(rng, n)
         d1 = rand_admissible(rng, n)
         d2 = rand_admissible(rng, n)
-        jet = JetVector(ExponentialVector(n, f), (d1, d2))
+        jet = ExponentialVector(n, f, (d1, d2))
         got = jet_inner_product(jet, ExponentialVector(n, g))
         values = {}
         for s1 in (1, -1):

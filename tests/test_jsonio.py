@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_element, rand_step_function, step_functions
 from oracles import decode_mu_poly, encode_word, read_step_payload
-from rhpwn import cli, jsonio
+from rhpwn import cli, jsonio, scalars
 from rhpwn.algebra import RHPWN, WINFTY, GeneratorIndex
 from rhpwn.errors import SchemaError
 from rhpwn.mupoly import MU, MuPoly
@@ -430,16 +430,29 @@ def test_decoder_refuses_at_the_oracle_first_fault(pieces):
     assert str(err.value) == f"{pointer}: {message}"
 
 
-def test_each_distinct_string_is_read_once(monkeypatch):
+def test_each_distinct_string_is_read_once():
     # 200 pieces, 800 strings, 5 distinct texts: the zero pieces overlap the
     # second piece but are dropped before the overlap check.
     pieces = ([{"a": "0", "b": "1/2", "re": "1", "im": "0"},
                {"a": "1", "b": "3/2", "re": "-1/3", "im": "1/2"}]
               + [{"a": "1/2", "b": "3/2", "re": "0", "im": "0"} for _ in range(198)])
-    read = jsonio.read_rational
-    texts = []
-    monkeypatch.setattr(jsonio, "read_rational", lambda text: texts.append(text) or read(text))
+    memo = scalars._read_memo
+    memo.cache_clear()
     fn = jsonio.decode_step_function(pieces)
-    assert len(texts) <= 5
+    # every string goes through the memo, and at most 5 are parsed
+    assert memo.cache_info().misses <= 5 and sum(memo.cache_info()[:2]) == 800
     assert fn == StepFunction([(0, Fraction(1, 2), 1),
                                (1, Fraction(3, 2), ComplexRational(Fraction(-1, 3), Fraction(1, 2)))])
+    # a second payload of the same strings parses none of them again
+    jsonio.decode_step_function([{"a": "1/2", "b": "1", "re": "-1/3", "im": "3/2"}])
+    assert memo.cache_info().misses <= 5 and sum(memo.cache_info()[:2]) == 804
+
+
+def test_a_refused_string_raises_on_every_decode():
+    # a refused string is not kept: each decode reads it and names its field
+    pieces = [{"a": "0", "b": "1/2", "re": "1"}, {"a": "1", "b": "2", "re": "1/0"}]
+    for _ in range(2):
+        with pytest.raises(SchemaError) as err:
+            jsonio.decode_step_function(pieces, "/f")
+        assert err.value.pointer == "/f/1/re"
+        assert str(err.value) == "/f/1/re: expected a rational ('p/q'), got '1/0'"

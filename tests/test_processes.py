@@ -346,6 +346,18 @@ def test_density_domain():
         scaled_density(1, 1.0)(0.0)
 
 
+def test_density_refuses_nan():
+    # the first non-finite value in the order of xs is refused, with its reason
+    message = "the density at t=2.0 needs a number, got x=nan"
+    for dens in (SecantDensity(2.0), scaled_density(3, 2.0)):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            dens(math.nan)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            dens.values([0.5, -math.nan, 1.0])
+    with pytest.raises(DomainError, match=r"^the density at t=1e-309, x=-0.0 overflows a float$"):
+        SecantDensity(1e-309).values([1.0, -0.0, math.nan])
+
+
 def _density_mpmath(t, x):
     with mpmath.workdps(60):
         t, x = mpmath.mpf(t), mpmath.mpf(x)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import COEFFS, RATIONALS, SCALARS
 from oracles import eval_float, mu_poly_from_strings, parse_complex_rational
+from rhpwn import scalars
 from rhpwn.mupoly import MU, MuPoly
 from rhpwn.scalars import ComplexRational, parse_fraction, read_rational
 
@@ -68,6 +69,24 @@ def test_read_rational_reads_strings_as_fraction_does(text):
             read_rational(text)
     else:
         assert read_rational(text) == (exact.numerator, exact.denominator)
+
+
+def test_read_rational_keeps_only_short_strings_that_read():
+    memo = scalars._read_memo
+    memo.cache_clear()
+    short = " 3/4 ".center(scalars.MEMO_TEXT_LENGTH)
+    padded = " 3/4 ".center(10**5)  # whitespace of any length reads
+    assert read_rational(short) == read_rational(padded) == (3, 4)
+    assert read_rational(short) == (3, 4)
+    assert memo.cache_info()[:2] == (1, 1)  # one hit, one miss: the long one is not kept
+    for text in ("1/0", "1/0"):
+        with pytest.raises(ValueError):
+            read_rational(text)
+    assert memo.cache_info()[1:] == (3, scalars.MEMO_SIZE, 1)
+    # the equal int and bool are not strings, and are read as before
+    assert read_rational(1) == (1, 1)
+    with pytest.raises(TypeError):
+        read_rational(True)
 
 
 def test_parse_fraction_caps_the_decimal_exponent():
