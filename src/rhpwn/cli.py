@@ -388,8 +388,7 @@ def _write_csv(rows, stream):
     # FloatRows in place of a row stands for all its rows.
     for row in rows:
         if isinstance(row, jsonio.FloatRows):
-            csv_row = ",".join([jsonio.FLOAT_FORMAT] * len(row.columns)) + "\n"
-            for text in row.chunks(csv_row):
+            for text in row.chunks(("",) + (",",) * (len(row.columns) - 1) + ("\n",)):
                 stream.write(text)
             continue
         stream.write(",".join(str(cell) for cell in row))

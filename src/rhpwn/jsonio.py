@@ -17,7 +17,11 @@ when it raises.
 standard `json` module writes with indent=2, ASCII only, streamed, for dicts
 with str keys, lists, str, int, bool and None only, and for `FloatRows`
 tables of floats as values of the top-level object.  `float_text` is the one
-rule by which a float becomes text.
+rule by which a float becomes text.  A table goes out TABLE_CHUNK rows at a
+time: a full chunk through the numpy array writer of `floattext`, which
+gives the bytes of `float_text` and hands to it each value it cannot settle,
+a shorter one through one `%` over a row template.  `floattext` is imported
+at the first full chunk; this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ def encode_mu_poly(poly: MuPoly) -> dict:
 FLOAT_FORMAT = "%.17g"
 
 # Rows of a FloatRows table formatted per string.
-TABLE_CHUNK = 256
+TABLE_CHUNK = 2048
 
 
 def float_text(x) -> str:
@@ -210,7 +214,10 @@ class FloatRows:
     With keys, one per column, `write_json` writes the table as a list of
     objects {key: float_text(value), ...}; with keys None and one column, as
     a list of float_text strings.  The columns are sequences that slice:
-    lists of floats or one-dimensional numpy arrays.
+    lists of floats or one-dimensional numpy arrays.  Each full chunk of
+    TABLE_CHUNK rows is written by the array writer of `floattext` and the
+    last, shorter one by `%`, in the same bytes, so that the output does not
+    depend on where the chunks fall.
     """
 
     __slots__ = ("keys", "columns")
@@ -226,22 +233,31 @@ class FloatRows:
     def __len__(self):
         return len(self.columns[0])
 
-    def chunks(self, row: str, sep: str = ""):
-        """The rows as text, TABLE_CHUNK rows per string: each row is `row`,
-        a template with one float field per column, filled with one `%` per
-        chunk, and rows are joined by `sep`, which does not end a chunk."""
+    def chunks(self, fields, sep: str = ""):
+        """The rows as text, TABLE_CHUNK rows per string.
+
+        A row is the float_text of each column's value between the ASCII,
+        NUL-free strings `fields`, one more than the columns; rows are joined
+        by `sep`, which does not end a chunk.  A full chunk is written by
+        `floattext.rows_text`, in the same bytes; any other is one `%` over a
+        template of its rows.
+        """
         width, size = len(self.columns), len(self)
-        full = sep.join([row] * TABLE_CHUNK)
+        row = FLOAT_FORMAT.join(field.replace("%", "%%") for field in fields)
         for start in range(0, size, TABLE_CHUNK):
             stop = min(start + TABLE_CHUNK, size)
+            if stop - start == TABLE_CHUNK:
+                from .floattext import rows_text
+
+                yield rows_text(self.columns, start, stop, fields, sep)
+                continue
             if width == 1:
                 flat = self.columns[0][start:stop]
             else:
                 flat = [None] * (width * (stop - start))
                 for i, column in enumerate(self.columns):
                     flat[i::width] = column[start:stop]
-            template = full if stop - start == TABLE_CHUNK else sep.join([row] * (stop - start))
-            yield template % tuple(map(add, flat, repeat(0.0)))
+            yield sep.join([row] * (stop - start)) % tuple(map(add, flat, repeat(0.0)))
 
 
 # -- writing ----------------------------------------------------------------------
@@ -279,14 +295,15 @@ def _encode(obj, indent: str) -> str:
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-def _json_row(keys) -> str:
-    """The template of one table row as a value of the top-level object:
-    keys quoted, with their `%` doubled, and one float field per column."""
-    field = '"' + FLOAT_FORMAT + '"'
+def _json_fields(keys) -> tuple:
+    """The text around the floats of one table row as a value of the
+    top-level object, keys quoted."""
     if keys is None:
-        return "\n    " + field
-    fields = ("\n      " + _quote(key).replace("%", "%%") + ": " + field for key in keys)
-    return "\n    {" + ",".join(fields) + "\n    }"
+        return ('\n    "', '"')
+    quoted = [_quote(key) for key in keys]
+    return ('\n    {\n      ' + quoted[0] + ': "',
+            *('",\n      ' + key + ': "' for key in quoted[1:]),
+            '"\n    }')
 
 
 def write_json(obj, stream) -> None:
@@ -317,7 +334,7 @@ def write_json(obj, stream) -> None:
         if isinstance(value, FloatRows) and head:
             write(sep + head + "[")
             lead = ""
-            for text in value.chunks(_json_row(value.keys), ","):
+            for text in value.chunks(_json_fields(value.keys), ","):
                 write(lead + text)
                 lead = ","
             write("\n  ]" if lead else "]")

@@ -654,7 +654,9 @@ for argv in (["density", "--t", "2.5", "--x-grid=-20:20:1/100"],
              ["density", "--n", "3", "--t", "1.7", "--x-grid=-30:30:1/50"],
              ["density", "--t", "0.01", "--x-grid=-1:1:1/1000"],
              ["sample", "--t", "0.7", "--count", "2000", "--seed", "5"],
-             ["sample", "--t", "9000", "--count", "2000", "--seed", "5"]):
+             ["sample", "--t", "9000", "--count", "2000", "--seed", "5"],
+             ["sample", "--t", "0.7", "--count", "10000", "--seed", "5"],
+             ["mgf", "--n", "2", "--t", "1", "--s-grid=-1/2:1/2:1/4000"]):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(argv) == 0

@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import os
 import random
 import struct
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,7 +237,7 @@ def _old_rows(keys, columns) -> list:
     return [{k: _old_text(v) for k, v in zip(keys, row)} for row in zip(*columns)]
 
 
-_TABLE_SIZES = [0, 1, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK, jsonio.TABLE_CHUNK + 1]
+_TABLE_SIZES = [0, 1, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK, jsonio.TABLE_CHUNK + 1, 2 * jsonio.TABLE_CHUNK + 1]
 _TABLE_KEYS = [None, ("x", "p"), ("s", "value"), ('say "q"', "100%", "%s%%d", "\xe9\u2028\U0001f600")]
 _TABLE_KEY_IDS = ["samples", "density", "mgf", "escaped"]
 
@@ -274,6 +277,58 @@ def test_table_streams_a_chunk_per_write():
     assert max(len(text) for text in writes) <= 40 * jsonio.TABLE_CHUNK
     old = {"count": size, "samples": _old_rows(None, obj["samples"].columns)}
     assert "".join(writes).splitlines(True) == json.dumps(old, indent=2).splitlines(True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1).map(_float_of_bits), st.floats()),
+                min_size=1, max_size=64))
+def test_the_array_writer_is_float_text_on_any_bits(values):
+    # the drawn values repeated to one full chunk, so every one goes through
+    # the writer, one per line of a one-column CSV table
+    column = np.resize(np.array(values), jsonio.TABLE_CHUNK)
+    text = "".join(jsonio.FloatRows(None, column).chunks(("", "\n")))
+    assert text.splitlines() == [jsonio.float_text(x) for x in column.tolist()]
+
+
+# 1 + 2^-17 is a tie at 17 digits, to even; 1e99 is 9.99999999999999967e98,
+# whose product at E = 99 rounds up to 10^16 but lies under it; the product
+# of 1e20 at E = 20 lands just under 10^16, and at E = 19 rounds up to 10^17
+_WRITER_PINS = {1 + 2**-17: "1.0000076293945312", 1e99: "9.9999999999999997e+98", 1e20: "1e+20"}
+_POWERS_OF_TEN = [float(f"1e{k}") for k in range(-323, 309)]
+_NAMED_FLOATS = (
+    _POWERS_OF_TEN
+    + [math.nextafter(x, 0.0) for x in _POWERS_OF_TEN]
+    + [math.nextafter(x, math.inf) for x in _POWERS_OF_TEN]
+    + list(_WRITER_PINS)
+    + [1e23, 1e16, 1e17, 1e-4, 1e-5, 5e-324, 2.2250738585072014e-308, sys.float_info.max]
+    + [math.nan, math.inf, -math.inf, -0.0, 0.0]
+)
+
+
+# Run in a fresh process, whose imports must leave the writer and its tables
+# unbuilt; with a timeout, because a correction of E without a bound turns
+# 1e20 between E = 19 and E = 20 for ever.
+_NAMED_SCRIPT = """
+import sys
+import rhpwn.cli
+from rhpwn import jsonio
+assert "rhpwn.floattext" not in sys.modules, "the writer was imported with the package"
+column = [float.fromhex(word) for word in sys.stdin.read().split()]
+column += [1.0] * (-len(column) % jsonio.TABLE_CHUNK)
+sys.stdout.writelines(jsonio.FloatRows(None, column).chunks(("", "\\n")))
+"""
+
+
+def test_the_array_writer_is_float_text_on_named_values():
+    values = _NAMED_FLOATS + [-x for x in _NAMED_FLOATS]
+    src = str(Path(jsonio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _NAMED_SCRIPT], input=" ".join(x.hex() for x in values),
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    texts = run.stdout.splitlines()[:len(values)]
+    assert texts == [jsonio.float_text(x) for x in values]
+    assert [texts[values.index(x)] for x in _WRITER_PINS] == list(_WRITER_PINS.values())
+    assert [jsonio.float_text(x) for x in _WRITER_PINS] == list(_WRITER_PINS.values())
 
 
 _TABLE = jsonio.FloatRows(("x",), [0.5])
