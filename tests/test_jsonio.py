@@ -237,7 +237,9 @@ def _old_rows(keys, columns) -> list:
     return [{k: _old_text(v) for k, v in zip(keys, row)} for row in zip(*columns)]
 
 
-_TABLE_SIZES = [0, 1, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK, jsonio.TABLE_CHUNK + 1, 2 * jsonio.TABLE_CHUNK + 1]
+# 255..257 are tables that end inside one chunk, whatever TABLE_CHUNK is
+_TABLE_SIZES = sorted({0, 1, 255, 256, 257, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK, jsonio.TABLE_CHUNK + 1,
+                       2 * jsonio.TABLE_CHUNK + 1})
 _TABLE_KEYS = [None, ("x", "p"), ("s", "value"), ('say "q"', "100%", "%s%%d", "\xe9\u2028\U0001f600")]
 _TABLE_KEY_IDS = ["samples", "density", "mgf", "escaped"]
 
