@@ -18,10 +18,11 @@ standard `json` module writes with indent=2, ASCII only, streamed, for dicts
 with str keys, lists, str, int, bool and None only, and for `FloatRows`
 tables of floats as values of the top-level object.  `float_text` is the one
 rule by which a float becomes text.  A table goes out TABLE_CHUNK rows at a
-time: a full chunk through the numpy array writer of `floattext`, which
-gives the bytes of `float_text` and hands to it each value it cannot settle,
-a shorter one through one `%` over a row template.  `floattext` is imported
-at the first full chunk; this module imports no numpy.
+time: a chunk of at least ARRAY_MIN_ROWS rows, full or the last one, through
+the numpy array writer of `floattext`, which gives the bytes of `float_text`
+and hands to it each value it cannot settle, a shorter one through one `%`
+over a row template.  `floattext` is imported at the first chunk it writes;
+this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -203,6 +204,12 @@ FLOAT_FORMAT = "%.17g"
 # Rows of a FloatRows table formatted per string.
 TABLE_CHUNK = 2048
 
+# The fewest rows of a chunk that `floattext` writes; a shorter chunk is one
+# `%` over a row template, which costs less there: the writer's numpy calls
+# cost about as much as `%` on 250 rows of two floats, timed inside the
+# density_sampling benchmark, where the caches are cold between calls.
+ARRAY_MIN_ROWS = 250
+
 
 def float_text(x) -> str:
     return FLOAT_FORMAT % (x + 0.0)
@@ -214,10 +221,11 @@ class FloatRows:
     With keys, one per column, `write_json` writes the table as a list of
     objects {key: float_text(value), ...}; with keys None and one column, as
     a list of float_text strings.  The columns are sequences that slice:
-    lists of floats or one-dimensional numpy arrays.  Each full chunk of
-    TABLE_CHUNK rows is written by the array writer of `floattext` and the
-    last, shorter one by `%`, in the same bytes, so that the output does not
-    depend on where the chunks fall.
+    lists of floats or one-dimensional numpy arrays.  The rows go out in
+    chunks of TABLE_CHUNK rows and a last, shorter one.  A chunk of at least
+    ARRAY_MIN_ROWS rows is written by the array writer of `floattext` and any
+    other by `%`, in the same bytes, so that the output does not depend on
+    where the chunks fall or which writer takes them.
     """
 
     __slots__ = ("keys", "columns")
@@ -238,15 +246,15 @@ class FloatRows:
 
         A row is the float_text of each column's value between the ASCII,
         NUL-free strings `fields`, one more than the columns; rows are joined
-        by `sep`, which does not end a chunk.  A full chunk is written by
-        `floattext.rows_text`, in the same bytes; any other is one `%` over a
-        template of its rows.
+        by `sep`, which does not end a chunk.  A chunk of at least
+        ARRAY_MIN_ROWS rows is written by `floattext.rows_text`, in the same
+        bytes; a shorter one is one `%` over a template of its rows.
         """
         width, size = len(self.columns), len(self)
         row = FLOAT_FORMAT.join(field.replace("%", "%%") for field in fields)
         for start in range(0, size, TABLE_CHUNK):
             stop = min(start + TABLE_CHUNK, size)
-            if stop - start == TABLE_CHUNK:
+            if stop - start >= ARRAY_MIN_ROWS:
                 from .floattext import rows_text
 
                 yield rows_text(self.columns, start, stop, fields, sep)

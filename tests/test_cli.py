@@ -656,7 +656,9 @@ for argv in (["density", "--t", "2.5", "--x-grid=-20:20:1/100"],
              ["sample", "--t", "0.7", "--count", "2000", "--seed", "5"],
              ["sample", "--t", "9000", "--count", "2000", "--seed", "5"],
              ["sample", "--t", "0.7", "--count", "10000", "--seed", "5"],
-             ["mgf", "--n", "2", "--t", "1", "--s-grid=-1/2:1/2:1/4000"]):
+             ["mgf", "--n", "2", "--t", "1", "--s-grid=-1/2:1/2:1/4000"],
+             ["mgf", "--n", "3", "--t", "2", "--s-grid=-1/20:1/20:1/5000"],
+             ["density", "--t", "2", "--x-grid=-3:3:1/500"]):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(argv) == 0

@@ -237,9 +237,12 @@ def _old_rows(keys, columns) -> list:
     return [{k: _old_text(v) for k, v in zip(keys, row)} for row in zip(*columns)]
 
 
-# 255..257 are tables that end inside one chunk, whatever TABLE_CHUNK is
-_TABLE_SIZES = sorted({0, 1, 255, 256, 257, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK, jsonio.TABLE_CHUNK + 1,
-                       2 * jsonio.TABLE_CHUNK + 1})
+# 255..257 are tables that end inside one chunk, whatever TABLE_CHUNK is;
+# ARRAY_MIN_ROWS ± 1 put the one chunk on either side of the array writer's
+# rule, and TABLE_CHUNK + ARRAY_MIN_ROWS a tail on the writer after a full chunk
+_N = jsonio.ARRAY_MIN_ROWS
+_TABLE_SIZES = sorted({0, 1, 255, 256, 257, _N - 1, _N, _N + 1, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK,
+                       jsonio.TABLE_CHUNK + 1, jsonio.TABLE_CHUNK + _N, 2 * jsonio.TABLE_CHUNK + 1})
 _TABLE_KEYS = [None, ("x", "p"), ("s", "value"), ('say "q"', "100%", "%s%%d", "\xe9\u2028\U0001f600")]
 _TABLE_KEY_IDS = ["samples", "density", "mgf", "escaped"]
 
@@ -279,6 +282,25 @@ def test_table_streams_a_chunk_per_write():
     assert max(len(text) for text in writes) <= 40 * jsonio.TABLE_CHUNK
     old = {"count": size, "samples": _old_rows(None, obj["samples"].columns)}
     assert "".join(writes).splitlines(True) == json.dumps(old, indent=2).splitlines(True)
+
+
+@pytest.mark.parametrize("size, written", [(_N - 1, 0), (_N, 1), (jsonio.TABLE_CHUNK + _N - 1, 1),
+                                           (jsonio.TABLE_CHUNK + _N, 2)])
+def test_chunks_of_at_least_array_min_rows_take_the_array_writer(monkeypatch, size, written):
+    from rhpwn import floattext
+
+    rows_text = floattext.rows_text
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rows_text(*args)
+
+    monkeypatch.setattr(floattext, "rows_text", counted)
+    column = [0.1 * i for i in range(size)]
+    text = "".join(jsonio.FloatRows(None, column).chunks(("", "\n")))
+    assert len(calls) == written
+    assert text.splitlines() == [jsonio.float_text(x) for x in column]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -331,6 +353,70 @@ def test_the_array_writer_is_float_text_on_named_values():
     assert texts == [jsonio.float_text(x) for x in values]
     assert [texts[values.index(x)] for x in _WRITER_PINS] == list(_WRITER_PINS.values())
     assert [jsonio.float_text(x) for x in _WRITER_PINS] == list(_WRITER_PINS.values())
+
+
+
+# The writer's tables as they were first built, a Python loop per power of
+# ten and per exponent: the builders in floattext must give the same arrays.
+def _loop_powers_of_ten(low, high):
+    def pair(m):  # m = floor(T·2^109) for T in [1, 2): T as two doubles
+        top = (m + (1 << 56)) >> 57
+        return top / (1 << 52), (m - (top << 57)) / (1 << 109)
+
+    powers = {}
+    up = down = 1
+    for k in range(high + 1):
+        s = up.bit_length() - 1
+        powers[k] = (s, *pair(up << (109 - s) if s <= 109 else up >> (s - 109)))
+        up *= 10
+    for k in range(1, 1 - low):
+        down *= 10
+        s = down.bit_length()
+        powers[-k] = (-s, *pair((1 << (s + 109)) // down))
+    shift, hi, lo = zip(*(powers[k] for k in range(low, high + 1)))
+    hi = np.array(hi)
+    c = hi * 134217729.0
+    hi_hi = c - (c - hi)
+    return np.array(shift, np.intc), hi, hi_hi, hi - hi_hi, np.array(lo)
+
+
+def _loop_digit_groups():
+    place = np.arange(10000) // np.array([[1000], [100], [10], [1]]) % 10 + 48
+    lead = np.zeros((4, 11), np.int64)
+    lead[3, :10] = np.arange(48, 58)
+    kept = np.logical_or.accumulate(place[::-1] != 48)[::-1]
+    groups = np.concatenate([place, place * kept, lead], axis=1)
+    return np.ascontiguousarray(groups.T, np.uint8).view(np.uint32).ravel()
+
+
+def _loop_marks(low, high, slot):
+    texts = []
+    for e in range(low, high + 1):
+        if -4 <= e < 0:
+            plain = dotted = "\0" + "0." + "0" * (-e - 1)
+        elif 0 <= e < 17:
+            plain = "\0" * 11 + "0" * (e + 1)
+            dotted = plain + "." if e < 16 else plain
+        else:
+            plain = "\0" * 29 + "e%+03d" % e
+            dotted = plain[:12] + "." + plain[13:]
+        texts += plain.ljust(slot, "\0"), dotted.ljust(slot, "\0")
+    marks = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, slot).repeat(2, axis=0)
+    marks[1::2, 0] = 45
+    return marks
+
+
+def test_the_array_writer_builds_the_tables_of_its_loops():
+    from rhpwn import floattext as ft
+
+    shift, powers = ft._powers_of_ten()
+    loop_shift, *loop_powers = _loop_powers_of_ten(ft._POW10_LOW, ft._POW10_HIGH)
+    assert shift.dtype == loop_shift.dtype and np.array_equal(shift, loop_shift)
+    assert np.array_equal(powers, np.stack(loop_powers))
+    assert np.array_equal(ft._digit_groups(), _loop_digit_groups())
+    assert np.array_equal(ft._marks(), _loop_marks(ft._EXP_LOW, ft._EXP_HIGH, ft._SLOT))
+    exponents = range(ft._EXP_LOW, ft._EXP_HIGH + 1)
+    assert ft._point_columns().tolist() == [e if 0 <= e < 17 else -12 if -4 <= e < 0 else 0 for e in exponents]
 
 
 _TABLE = jsonio.FloatRows(("x",), [0.5])
