@@ -83,9 +83,9 @@ def _check_cap(name: str, value: int, cap: int):
 def _parse_grid(spec: str):
     """start:stop:step with decimal or p/q entries, endpoints inclusive.
 
-    Returns start + i*step as floats, each the correctly rounded int quotient
-    (a + i*b) / d for start = a/d and step = b/d.  The count is exact and is
-    checked against MAX_GRID_POINTS before the list is built.
+    Returns start + i*step as a float64 array, each the correctly rounded
+    int quotient (a + i*b) / d for start = a/d and step = b/d.  The count is
+    exact and is checked against MAX_GRID_POINTS before the array is built.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -105,7 +105,13 @@ def _parse_grid(spec: str):
         )
     d = math.lcm(start.denominator, step.denominator)
     a, b = int(start * d), int(step * d)
-    return [(a + i * b) / d for i in range(count)]
+    import numpy as np
+
+    if max(abs(a), abs(a + (count - 1) * b), b, d) <= 2**53:
+        # Every integer here is an exact double, and b*i fits int64, so the
+        # float division rounds the exact quotient once, as int division does.
+        return (a + b * np.arange(count, dtype=np.int64)) / float(d)
+    return np.array([(a + i * b) / d for i in range(count)])
 
 
 # -- handlers: each returns its JSON object ---------------------------------

@@ -21,8 +21,8 @@ adaptive Simpson quadrature (`quad`), which evaluates all the midpoints of
 one level in one array call, and sampled by linear interpolation of the
 tabulated inverse CDF.
 
-`mgf_eval` stays scalar; `mgf_sweep` calls it once per distinct |s|, since
-cos and s*s do not see the sign of s.
+`mgf_eval` is the one scalar formula; `mgf_sweep` is its array form over the
+distinct |s|, bit for bit, since cos and s*s do not see the sign of s.
 """
 
 from __future__ import annotations
@@ -385,23 +385,38 @@ class SecantDensity:
         return steps[int(below.argmax())]
 
 
-def mgf_sweep(n: int, ss, t: float) -> list:
-    """[mgf_eval(n, s, t) for s in ss], calling `mgf_eval` once per distinct |s|.
+def mgf_sweep(n: int, ss, t: float) -> np.ndarray:
+    """[mgf_eval(n, s, t) for s in ss] as a float64 array, bit for bit.
 
-    `mgf_eval` is even bit for bit, refusals included, so each |s| is
-    evaluated at the first point of ss that has it, and a grid symmetric
-    about 0 costs about half its points.  A refusal is raised at the first
-    point of ss whose |s| is refused, with the message it gives there.
+    `mgf_eval` is even bit for bit, so each distinct |s| is evaluated once
+    and a grid symmetric about 0 costs about half its points.  numpy takes
+    only the steps that IEEE arithmetic rounds exactly (abs, the products,
+    the comparisons); cos, log and exp are `math`'s, as in `mgf_eval`, since
+    numpy's SIMD exp and log differ from them in the last bit on some CPUs.
+    A refusal is raised by `mgf_eval` itself, at the first point of ss whose
+    |s| is refused, with the message it gives there.
     """
-    values = {}
-    out = []
-    for s in ss:
-        u = abs(s)
-        value = values.get(u)
-        if value is None:
-            value = values[u] = mgf_eval(n, s, t)
-        out.append(value)
-    return out
+    u = np.abs(np.asarray(ss, dtype=float))
+    if not len(u):
+        return u
+    if n < 1 or t <= 0:
+        mgf_eval(n, ss[0], t)  # raises
+    distinct, back = np.unique(u, return_inverse=True)
+    with np.errstate(all="ignore"):
+        if n == 1:
+            w = distinct * distinct * t / 2
+            refused = ~(w <= _LOG_FLOAT_MAX)
+        else:
+            c = order_constants(n)[1]
+            a = math.sqrt(c)
+            au = a * distinct
+            pole = au >= math.pi / 2
+            au[pole] = 0.0  # past the pole math.cos may refuse inf and math.log a cos <= 0
+            w = -(n * t / c) * np.array(list(map(math.log, map(math.cos, au.tolist()))))
+            refused = pole | ~(w <= _LOG_FLOAT_MAX)
+    if refused.any():
+        mgf_eval(n, ss[int(refused[back].argmax())], t)  # raises
+    return np.array(list(map(math.exp, w.tolist())))[back]
 
 
 # -- quadrature and sampling ------------------------------------------------------
@@ -480,7 +495,14 @@ class SecantSampler:
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         _check_draw(count, seed)
-        return np.interp(np.random.default_rng(seed).random(count), self.cdf, self.grid)
+        u = np.random.default_rng(seed).random(count)
+        # Each draw takes the same interval and slope in any order; sorted,
+        # np.interp's searches start from the last one's interval.  The
+        # sorted draws' buffer takes the values back in draw order.
+        order = u.argsort()
+        u = u[order]
+        u[order] = np.interp(u, self.cdf, self.grid)
+        return u
 
 
 def _check_draw(count: int, seed: int):

@@ -356,6 +356,15 @@ def test_grid_matches_running_sum():
         "-3:3:1/4",
         "-1:-1/2:0.1",
         "-7/3:5/6:2/9",
+        # numerators and denominators at 2^53, the int64 path, and one past
+        # it, the int-quotient path
+        "1/9007199254740992:3/9007199254740992:1/9007199254740992",
+        "1/9007199254740993:3/9007199254740993:1/9007199254740993",
+        "9007199254740990:9007199254740992:1",
+        "9007199254740991:9007199254740993:1",
+        "-9007199254740992:-9007199254740990:1",
+        "-9007199254740993:-9007199254740991:1",
+        "1/3:1/3:100000000000000000000",  # one point, its step past 2^53
     ]
     rng = random.Random(1234)
     for _ in range(200):
@@ -368,7 +377,7 @@ def test_grid_matches_running_sum():
     for spec in specs:
         got = cli_mod._parse_grid(spec)
         want = _grid_by_loop(spec)
-        assert got == [float(v) for v in want], spec
+        assert got.tolist() == [float(v) for v in want], spec
 
 
 _GRID_START = st.one_of(
@@ -389,7 +398,7 @@ def test_grid_points_are_the_floats_of_the_exact_points(start_text, step_text, l
     stop = start + step * (last + Fraction(nudge, 1001))
     assume(stop >= start)
     got = cli._parse_grid(f"{start_text}:{stop}:{step_text}")
-    assert got == [float(start + i * step) for i in range(last + 1)]
+    assert got.tolist() == [float(start + i * step) for i in range(last + 1)]
 
 
 def _never(*_args, **_kwargs):
@@ -690,7 +699,7 @@ def test_internal_failure_exit_code(capsys, monkeypatch):
     def boom(*_args, **_kwargs):
         raise RuntimeError("kaput")
 
-    monkeypatch.setattr(cli_mod.processes, "mgf_eval", boom)
+    monkeypatch.setattr(cli_mod.processes, "mgf_sweep", boom)
     assert main(["mgf", "--n", "1", "--t", "1", "--s-grid", "0:0.1:0.1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"].startswith("internal")

@@ -5,12 +5,14 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -629,19 +631,62 @@ def test_density_values_are_the_comprehension(xs, ascending, t, n):
     assert got == _sweep_outcome(lambda xs: [dens(x) for x in xs], xs), (xs, t, n)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.7, -0.7, 0.8, -0.8, 38.0, -38.0]),
-             min_size=1, max_size=12),
-    st.booleans(),
-    st.integers(1, 3),
-)
-def test_mgf_sweep_is_the_comprehension(ss, ascending, n):
-    # |s| = 0.8 is past the pole for n = 2 and 3, 38 overflows for n = 1
+# |s| = 0.8 is past the pole for n = 2 and 3, 38 overflows for n = 1 at t = 1
+_MGF_POINTS = [0.0, -0.0, 0.5, -0.5, 0.7, -0.7, 0.8, -0.8, 38.0, -38.0]
+_MGF_TIMES = [1.0, 0.37, 1e3, 1e5]
+
+
+def _ulps_around(x, k):
+    """x with the k floats on each side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def _mgf_edges(n, t):
+    """The least float s >= 0 that mgf_eval(n, s, t) refuses, found by
+    bisection on the bit patterns of the floats, which order as the floats
+    do; and, for n >= 2, the pole pi/(2a)."""
+    as_float = lambda k: struct.unpack("<d", struct.pack("<q", k))[0]  # noqa: E731
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e3))[0]  # 0 is accepted, 1e3 refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(lambda s: mgf_eval(n, s, t), as_float(mid)) == "DomainError":
+            hi = mid
+        else:
+            lo = mid
+    if n == 1:
+        return [as_float(hi)]
+    return [as_float(hi), math.pi / (2 * math.sqrt(order_constants(n)[1]))]
+
+
+@st.composite
+def _mgf_sweep_case(draw):
+    n = draw(st.integers(1, 4))
+    t = draw(st.sampled_from(_MGF_TIMES))
+    edges = _mgf_edges(n, t)
+    near = [s for edge in edges for s in _ulps_around(edge, 6)]
+    reach = 1.2 * max(edges)
+    point = st.one_of(st.sampled_from(_MGF_POINTS), st.sampled_from(near),
+                      st.floats(min_value=-reach, max_value=reach))
+    signed = st.tuples(point, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return n, t, draw(st.lists(signed, min_size=1, max_size=12))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_mgf_sweep_case(), st.booleans(), st.booleans())
+def test_mgf_sweep_is_the_comprehension(case, ascending, as_array):
+    # values, or which point raises and with which message, on a list or an
+    # array, with points a few ULPs either side of the pole and of the overflow
+    n, t, ss = case
     if ascending:
         ss.sort()
-    got = _sweep_outcome(lambda ss: mgf_sweep(n, ss, 1.0), ss)
-    assert got == _sweep_outcome(lambda ss: [mgf_eval(n, s, 1.0) for s in ss], ss), (ss, n)
+    if as_array:
+        ss = np.array(ss)
+    got = _sweep_outcome(lambda ss: mgf_sweep(n, ss, t), ss)
+    assert got == _sweep_outcome(lambda ss: [mgf_eval(n, s, t) for s in ss], ss), (ss, n, t)
 
 
 def _grid_spec(rng, kind):
@@ -723,16 +768,17 @@ def test_symmetric_density_grid_takes_half_the_log_gammas(log_gamma_counter):
 
 
 def test_symmetric_mgf_grid_takes_half_the_evaluations(monkeypatch):
+    # one cos per distinct |s|, of a|s| with a = 2 at n = 2, in ascending order
     calls = []
 
-    def counting(n, s, t):
-        calls.append(s)
-        return mgf_eval(n, s, t)
+    def counting(x):
+        calls.append(x)
+        return math.cos(x)
 
-    monkeypatch.setattr(processes, "mgf_eval", counting)
+    monkeypatch.setattr(processes, "math", SimpleNamespace(**{**vars(math), "cos": counting}))
     with redirect_stdout(io.StringIO()):
         assert cli_main(["mgf", "--n", "2", "--t", "1", "--s-grid=-0.3:0.3:0.1"]) == 0
-    assert calls == [-0.3, -0.2, -0.1, 0.0]
+    assert calls == [2 * u for u in (0.0, 0.1, 0.2, 0.3)]
 
 
 def test_sweep_refuses_at_the_first_failing_point():
@@ -846,6 +892,27 @@ def test_sampler_moments_and_ks():
     grid = np.arange(n)
     d = np.max(np.maximum(u - grid / n, (grid + 1) / n - u))
     assert d < 1.6276 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 37.5, 900.0, processes.MAX_DENSITY_T])
+def test_sampler_draws_are_the_unsorted_interp(t):
+    sampler = SecantSampler(t)
+    for count, seed in ((1, 0), (1, 9), (2, 4), (257, 1), (30000, 11)):
+        want = np.interp(np.random.default_rng(seed).random(count), sampler.cdf, sampler.grid)
+        assert sampler.sample(count, seed).tobytes() == want.tobytes(), (t, count, seed)
+
+
+def test_sampler_repeated_and_knot_draws_are_the_unsorted_interp(monkeypatch):
+    # equal draws, draws on the knots of the CDF and at its ends, shuffled
+    sampler = SecantSampler(0.7)
+    u = np.random.default_rng(3).random(300)
+    draws = np.concatenate([u, u[::-1], u[:50], sampler.cdf[::37], sampler.cdf[-2:],
+                            [0.0, 0.0, 0.5, 0.5, np.nextafter(1.0, 0.0)]])
+    np.random.default_rng(5).shuffle(draws)
+    monkeypatch.setattr(processes.np.random, "default_rng",
+                        lambda seed: SimpleNamespace(random=lambda count: draws[:count].copy()))
+    got = sampler.sample(len(draws), 0)
+    assert got.tobytes() == np.interp(draws, sampler.cdf, sampler.grid).tobytes()
 
 
 def test_sampler_rejects_bad_count():
