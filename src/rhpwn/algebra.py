@@ -156,6 +156,8 @@ def bracket_index_and_constant(a: GeneratorIndex, b: GeneratorIndex):
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the bracket; coefficient functions multiply."""
+    if not a.terms or not b.terms:  # the zero element is shared by both algebras
+        return AlgebraElement.zero(a.tag)
     if a.tag != b.tag:
         raise TagMismatchError(f"cannot bracket {a.tag} with {b.tag}")
     terms = {}

@@ -7,9 +7,8 @@ is written by `jsonio.write_json`: the bytes the standard `json` module
 writes with indent=2, ASCII only, streamed one element at a time, for dicts,
 lists, str, int, bool and None only.  The float sweeps of `mgf`, `density`
 and `sample` return their rows as a `jsonio.FloatRows` table, which both
-formats write `jsonio.TABLE_CHUNK` rows at a time: a chunk of at least
-`jsonio.ARRAY_MIN_ROWS` rows through the numpy writer `rhpwn.floattext`, a
-shorter one with one `%`, in the same bytes.  Exact rationals are
+formats write `jsonio.TABLE_CHUNK` rows at a time through the numpy writer
+`rhpwn.floattext`, in the bytes of `jsonio.float_text`.  Exact rationals are
 emitted as "p/q" strings and floats by `jsonio.float_text`, with 17
 significant digits, so identical invocations produce byte-identical output.
 Exit codes: 0 success, 2 domain or input errors, 1 internal failure.

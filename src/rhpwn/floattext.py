@@ -1,4 +1,4 @@
-"""The array writer of `jsonio.float_text`, for table chunks of ARRAY_MIN_ROWS or more.
+"""The array writer of `jsonio.float_text`, for every chunk of a float table.
 
 For finite nonzero x, "%.17g" writes the integer D nearest x·10^(16-E), ties
 to even, where E is the decimal exponent that puts D in [10^16, 10^17): in
@@ -17,11 +17,11 @@ exponent.  A point after digit q takes column 12 + q and moves the digits
 after it one column on.  `rows_text` lays the slots out between the row's
 fixed text and drops the NULs with one mask.
 
-`jsonio.FloatRows.chunks` sends here each chunk of at least
-`jsonio.ARRAY_MIN_ROWS` rows, the last, shorter chunk of a table included,
-and imports this module at the first one, so a process that writes none
-neither imports it nor builds its tables.  The tables are built here with
-integer arithmetic, as whole arrays but for the big-integer powers of ten.
+`jsonio.FloatRows.chunks` sends here every chunk of a table, the last,
+shorter one included, and imports this module at the first one, so a
+process that writes none neither imports it nor builds its tables.  The
+tables are built here with integer arithmetic, as whole arrays but for the
+big-integer powers of ten.
 """
 
 from __future__ import annotations

@@ -67,10 +67,15 @@ def kernel_values(n: int, k: int):
 # -- admissibility -----------------------------------------------------------
 
 
-def require_admissible(n: int, f: StepFunction):
-    """Strict pointwise bound |f|^2 < 2/(n^3(n-1)); none for n = 1."""
+def require_order(n: int):
+    """A Fock order is an integer n >= 1."""
     if n < 1:
         raise DomainError(f"Fock order must be >= 1, got {n}")
+
+
+def require_admissible(n: int, f: StepFunction):
+    """Strict pointwise bound |f|^2 < 2/(n^3(n-1)); none for n = 1."""
+    require_order(n)
     if n == 1:
         return
     c = order_constants(n)[1]
@@ -356,6 +361,7 @@ class GramReport:
 
 def gram_psd_check(n: int, fs, tol: float) -> GramReport:
     """Gram matrix of exponential vectors and its PSD verdict."""
+    require_order(n)
     fs = list(fs)
     size = len(fs)
     m = np.zeros((size, size), dtype=complex)

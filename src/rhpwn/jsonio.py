@@ -18,19 +18,16 @@ standard `json` module writes with indent=2, ASCII only, streamed, for dicts
 with str keys, lists, str, int, bool and None only, and for `FloatRows`
 tables of floats as values of the top-level object.  `float_text` is the one
 rule by which a float becomes text.  A table goes out TABLE_CHUNK rows at a
-time: a chunk of at least ARRAY_MIN_ROWS rows, full or the last one, through
-the numpy array writer of `floattext`, which gives the bytes of `float_text`
-and hands to it each value it cannot settle, a shorter one through one `%`
-over a row template.  `floattext` is imported at the first chunk it writes;
+time, each chunk, full or the last one, through the numpy array writer of
+`floattext`, which gives the bytes of `float_text` and hands to it each value
+it cannot settle.  `floattext` is imported at the first chunk it writes;
 this module imports no numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add
 
 from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
 from .errors import EmptyIntervalError, IndexRangeError, SchemaError
@@ -197,28 +194,14 @@ def encode_mu_poly(poly: MuPoly) -> dict:
 
 # -- floats ---------------------------------------------------------------------
 
-# A float as text: 17 significant digits of x + 0.0, which turns -0.0 into
-# 0.0, so -0 is never written.
-FLOAT_FORMAT = "%.17g"
-
 # Rows of a FloatRows table formatted per string.
 TABLE_CHUNK = 2048
 
-# The fewest rows of a chunk that `floattext` writes; a shorter chunk is one
-# `%` over a row template, which costs less there: the writer's numpy calls
-# cost about as much as `%` on 250 rows of two floats, timed inside the
-# density_sampling benchmark, where the caches are cold between calls.
-ARRAY_MIN_ROWS = 250
-
 
 def float_text(x) -> str:
-    return FLOAT_FORMAT % (x + 0.0)
-
-
-def _floats(part):
-    """A slice of a column as Python floats, which `%` formats faster than
-    numpy's float64 scalars, in the same bytes."""
-    return part.tolist() if hasattr(part, "tolist") else part
+    # 17 significant digits of x + 0.0, which turns -0.0 into 0.0, so -0 is
+    # never written
+    return "%.17g" % (x + 0.0)
 
 
 class FloatRows:
@@ -228,10 +211,8 @@ class FloatRows:
     objects {key: float_text(value), ...}; with keys None and one column, as
     a list of float_text strings.  The columns are sequences that slice:
     lists of floats or one-dimensional numpy arrays.  The rows go out in
-    chunks of TABLE_CHUNK rows and a last, shorter one.  A chunk of at least
-    ARRAY_MIN_ROWS rows is written by the array writer of `floattext` and any
-    other by `%`, in the same bytes, so that the output does not depend on
-    where the chunks fall or which writer takes them.
+    chunks of TABLE_CHUNK rows and a last, shorter one, each written by the
+    array writer of `floattext` in the bytes of `float_text`.
     """
 
     __slots__ = ("keys", "columns")
@@ -248,31 +229,18 @@ class FloatRows:
         return len(self.columns[0])
 
     def chunks(self, fields, sep: str = ""):
-        """The rows as text, TABLE_CHUNK rows per string.
+        """The rows as text, TABLE_CHUNK rows per string, by
+        `floattext.rows_text`.
 
         A row is the float_text of each column's value between the ASCII,
         NUL-free strings `fields`, one more than the columns; rows are joined
-        by `sep`, which does not end a chunk.  A chunk of at least
-        ARRAY_MIN_ROWS rows is written by `floattext.rows_text`, in the same
-        bytes; a shorter one is one `%` over a template of its rows.
+        by `sep`, which does not end a chunk.
         """
-        width, size = len(self.columns), len(self)
-        row = FLOAT_FORMAT.join(field.replace("%", "%%") for field in fields)
+        size = len(self)
         for start in range(0, size, TABLE_CHUNK):
-            stop = min(start + TABLE_CHUNK, size)
-            if stop - start >= ARRAY_MIN_ROWS:
-                from .floattext import rows_text
+            from .floattext import rows_text
 
-                yield rows_text(self.columns, start, stop, fields, sep)
-                continue
-            parts = [_floats(column[start:stop]) for column in self.columns]
-            if width == 1:
-                flat = parts[0]
-            else:
-                flat = [None] * (width * (stop - start))
-                for i, part in enumerate(parts):
-                    flat[i::width] = part
-            yield sep.join([row] * (stop - start)) % tuple(map(add, flat, repeat(0.0)))
+            yield rows_text(self.columns, start, min(start + TABLE_CHUNK, size), fields, sep)
 
 
 # -- writing ----------------------------------------------------------------------

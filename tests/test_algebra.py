@@ -64,6 +64,17 @@ def test_bracket_tag_mismatch():
         commutator(gen(RHPWN, 1, 0, f), gen(WINFTY, 2, 0, f))
 
 
+@pytest.mark.parametrize("tag", [RHPWN, WINFTY])
+def test_bracket_with_the_zero_element_of_either_algebra(tag):
+    # the zero element is shared by both algebras, as in `+`
+    f = StepFunction.indicator(1, 2)
+    other = WINFTY if tag == RHPWN else RHPWN
+    x = gen(tag, 2, 1, f)
+    for zero in (AlgebraElement.zero(other), AlgebraElement.zero(tag)):
+        assert commutator(zero, x).is_zero
+        assert commutator(x, zero).is_zero
+
+
 def test_involution_examples():
     f = StepFunction.indicator(1, 2, ComplexRational(1, 2))
     assert involution(gen(RHPWN, 3, 1, f)) == gen(RHPWN, 1, 3, f.conjugate())

@@ -125,6 +125,21 @@ def test_gram_and_inner_product(monkeypatch):
     assert float(value["re"]) == pytest.approx(2.718281828459045 ** 0.04, rel=1e-12)
 
 
+@pytest.mark.parametrize("fs", [[], [[]]], ids=["no-functions", "zero-function"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_gram_refuses_an_invalid_fock_order(capsys, monkeypatch, n, fs):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": n, "fs": fs})))
+    assert_refused(capsys, ["gram"], f"Fock order must be >= 1, got {n}")
+
+
+@pytest.mark.parametrize("zero_first", [True, False], ids=["zero-winfty", "winfty-zero"])
+def test_commutator_with_the_zero_element_of_either_algebra(monkeypatch, zero_first):
+    winfty = [{"tag": "WINFTY", "n": 2, "k": 1, "pieces": [{"a": "0", "b": "1", "re": "1"}]}]
+    a, b = ([], winfty) if zero_first else (winfty, [])
+    code, text = run_cli(["commutator"], json.dumps({"a": a, "b": b}), monkeypatch)
+    assert (code, text) == (0, "[]\n")
+
+
 def test_schema_error_carries_pointer(capsys):
     import sys
 
@@ -667,7 +682,10 @@ for argv in (["density", "--t", "2.5", "--x-grid=-20:20:1/100"],
              ["sample", "--t", "0.7", "--count", "10000", "--seed", "5"],
              ["mgf", "--n", "2", "--t", "1", "--s-grid=-1/2:1/2:1/4000"],
              ["mgf", "--n", "3", "--t", "2", "--s-grid=-1/20:1/20:1/5000"],
-             ["density", "--t", "2", "--x-grid=-3:3:1/500"]):
+             ["density", "--t", "2", "--x-grid=-3:3:1/500"],
+             ["mgf", "--n", "2", "--t", "1", "--s-grid=-1/2:1/2:1/100"],
+             ["density", "--t", "0.5", "--x-grid=-2:2:1/62"],
+             ["sample", "--t", "1.3", "--count", "2100", "--seed", "9"]):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(argv) == 0

@@ -237,12 +237,10 @@ def _old_rows(keys, columns) -> list:
     return [{k: _old_text(v) for k, v in zip(keys, row)} for row in zip(*columns)]
 
 
-# 255..257 are tables that end inside one chunk, whatever TABLE_CHUNK is;
-# ARRAY_MIN_ROWS ± 1 put the one chunk on either side of the array writer's
-# rule, and TABLE_CHUNK + ARRAY_MIN_ROWS a tail on the writer after a full chunk
-_N = jsonio.ARRAY_MIN_ROWS
-_TABLE_SIZES = sorted({0, 1, 255, 256, 257, _N - 1, _N, _N + 1, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK,
-                       jsonio.TABLE_CHUNK + 1, jsonio.TABLE_CHUNK + _N, 2 * jsonio.TABLE_CHUNK + 1})
+# 249..251 and 255..257 are short tables of fixed sizes, whatever TABLE_CHUNK
+# is, and TABLE_CHUNK + 250 a short tail after a full chunk
+_TABLE_SIZES = sorted({0, 1, 249, 250, 251, 255, 256, 257, jsonio.TABLE_CHUNK - 1, jsonio.TABLE_CHUNK,
+                       jsonio.TABLE_CHUNK + 1, jsonio.TABLE_CHUNK + 250, 2 * jsonio.TABLE_CHUNK + 1})
 _TABLE_KEYS = [None, ("x", "p"), ("s", "value"), ('say "q"', "100%", "%s%%d", "\xe9\u2028\U0001f600")]
 _TABLE_KEY_IDS = ["samples", "density", "mgf", "escaped"]
 
@@ -284,9 +282,8 @@ def test_table_streams_a_chunk_per_write():
     assert "".join(writes).splitlines(True) == json.dumps(old, indent=2).splitlines(True)
 
 
-@pytest.mark.parametrize("size, written", [(_N - 1, 0), (_N, 1), (jsonio.TABLE_CHUNK + _N - 1, 1),
-                                           (jsonio.TABLE_CHUNK + _N, 2)])
-def test_chunks_of_at_least_array_min_rows_take_the_array_writer(monkeypatch, size, written):
+@pytest.mark.parametrize("size", [1, 249, 250, 2297, 2298])
+def test_every_chunk_takes_the_array_writer(monkeypatch, size):
     from rhpwn import floattext
 
     rows_text = floattext.rows_text
@@ -299,7 +296,7 @@ def test_chunks_of_at_least_array_min_rows_take_the_array_writer(monkeypatch, si
     monkeypatch.setattr(floattext, "rows_text", counted)
     column = [0.1 * i for i in range(size)]
     text = "".join(jsonio.FloatRows(None, column).chunks(("", "\n")))
-    assert len(calls) == written
+    assert len(calls) == -(-size // jsonio.TABLE_CHUNK)
     assert text.splitlines() == [jsonio.float_text(x) for x in column]
 
 
@@ -307,11 +304,11 @@ def test_chunks_of_at_least_array_min_rows_take_the_array_writer(monkeypatch, si
 @given(st.lists(st.one_of(st.integers(0, 2**64 - 1).map(_float_of_bits), st.floats()),
                 min_size=1, max_size=64))
 def test_the_array_writer_is_float_text_on_any_bits(values):
-    # the drawn values repeated to one full chunk, so every one goes through
-    # the writer, one per line of a one-column CSV table
-    column = np.resize(np.array(values), jsonio.TABLE_CHUNK)
-    text = "".join(jsonio.FloatRows(None, column).chunks(("", "\n")))
-    assert text.splitlines() == [jsonio.float_text(x) for x in column.tolist()]
+    # the drawn values as they are, a short chunk, and repeated to one full
+    # chunk, one per line of a one-column CSV table
+    for column in (np.array(values), np.resize(np.array(values), jsonio.TABLE_CHUNK)):
+        text = "".join(jsonio.FloatRows(None, column).chunks(("", "\n")))
+        assert text.splitlines() == [jsonio.float_text(x) for x in column.tolist()]
 
 
 # 1 + 2^-17 is a tie at 17 digits, to even; 1e99 is 9.99999999999999967e98,
