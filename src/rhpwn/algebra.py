@@ -20,7 +20,7 @@ import functools
 import threading
 from dataclasses import dataclass
 
-from .errors import IndexRangeError, TagMismatchError
+from .errors import DomainError, IndexRangeError, TagMismatchError
 from .stepfn import StepFunction
 
 RHPWN = "RHPWN"
@@ -182,6 +182,12 @@ def involution(a: AlgebraElement) -> AlgebraElement:
 # -- the order-n truncated calculus ------------------------------------------
 
 
+def require_order(n: int):
+    """A Fock order is an integer n >= 1."""
+    if n < 1:
+        raise DomainError(f"Fock order must be >= 1, got {n}")
+
+
 @functools.cache
 def order_constants(n: int):
     """The two integer constants of the order-n truncated calculus.
@@ -228,6 +234,4 @@ def normal_order_expansion(n: int):
     """
     if n < 0:
         raise IndexRangeError(f"normal ordering needs n >= 0, got {n}")
-    if n == 0:
-        return [(0, 1)]
     return [(m, s) for m in range(n + 1) if (s := stirling_first(n, m)) != 0]

@@ -88,20 +88,18 @@ def _parse_grid(spec: str):
     """
     parts = spec.split(":")
     if len(parts) != 3:
-        raise SchemaError("", f"grid must be start:stop:step, got {spec!r}")
+        raise DomainError(f"grid must be start:stop:step, got {spec!r}")
     try:
         start, stop, step = (parse_fraction(p) for p in parts)
     except ValueError as exc:
-        raise SchemaError("", f"bad grid entry in {spec!r}") from exc
+        raise DomainError(f"bad grid entry in {spec!r}") from exc
     if step <= 0 or stop < start:
-        raise SchemaError("", f"grid {spec!r} must have step > 0 and stop >= start")
+        raise DomainError(f"grid {spec!r} must have step > 0 and stop >= start")
     count = math.floor((stop - start) / step + Fraction(1, 1000)) + 1
     if max(-start, start + (count - 1) * step) > sys.float_info.max:
-        raise SchemaError("", f"grid {spec!r} leaves the float range")
+        raise DomainError(f"grid {spec!r} leaves the float range")
     if count > MAX_GRID_POINTS:
-        raise SchemaError(
-            "", f"grid {spec!r} has {count} points, more than the cap {MAX_GRID_POINTS}"
-        )
+        raise DomainError(f"grid {spec!r} has {count} points, more than the cap {MAX_GRID_POINTS}")
     d = math.lcm(start.denominator, step.denominator)
     a, b = int(start * d), int(step * d)
     import numpy as np
@@ -143,8 +141,9 @@ def _cmd_normal_order(args):
 
 
 def _cmd_vacuum_moment(args):
-    word = jsonio.decode_word(_read_payload(args), "")
-    _check_cap("vacuum-moment word length", len(word), MAX_WORD_LENGTH)
+    factors = jsonio._require_list(_read_payload(args), "")
+    _check_cap("vacuum-moment word length", len(factors), MAX_WORD_LENGTH)
+    word = jsonio.decode_word(factors, "")
     return jsonio.encode_mu_poly(vacuum_expectation(word))
 
 
@@ -227,11 +226,7 @@ def _cmd_mgf(args):
 
 def _cmd_density(args):
     xs = _parse_grid(args.x_grid)
-    if args.n is None:
-        density = processes.SecantDensity(args.t)
-    else:
-        density = processes.scaled_density(args.n, args.t)
-    ps = density.values(xs)
+    ps = processes.SecantDensity(args.t, args.n).values(xs)
     return {"t": _fmt(args.t), "n": args.n, "rows": jsonio.FloatRows(("x", "p"), xs, ps)}
 
 

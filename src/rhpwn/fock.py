@@ -32,7 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import RHPWN, GeneratorIndex, bracket_index_and_constant, order_constants
+from .algebra import (
+    RHPWN,
+    GeneratorIndex,
+    bracket_index_and_constant,
+    order_constants,
+    require_order,
+)
 from .errors import (
     DomainError,
     PrescriptionError,
@@ -65,12 +71,6 @@ def kernel_values(n: int, k: int):
 
 
 # -- admissibility -----------------------------------------------------------
-
-
-def require_order(n: int):
-    """A Fock order is an integer n >= 1."""
-    if n < 1:
-        raise DomainError(f"Fock order must be >= 1, got {n}")
 
 
 def require_admissible(n: int, f: StepFunction):

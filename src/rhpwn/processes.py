@@ -10,16 +10,17 @@ The exponential splits as exp(s(B[n,0]+B[0,n])) Phi
 = exp(W(s)) exp(V(s) B[n,0]) Phi with V solving the Riccati equation
 V' = 1 + (n^3(n-1)/2) V^2, V(0) = 0, and W' = n mu V, W(0) = 0.
 
-The normalized law has density p_t(x) = (2^(t-1) / (2 pi))
-Gamma((t+ix)/2) Gamma((t-ix)/2) / Gamma(t), an even probability density with
-MGF (sec s)^t.  `SecantDensity(t)` is its one evaluator: it computes the
-terms free of x once and evaluates the rest with `log_gamma_array`, a numpy
-Lanczos sum, on the distinct values of |x|, so the density is even by
-construction.  `complex_log_gamma` and a call at one point are one-point
-calls of the same code.  The density is integrated by a level-by-level
-adaptive Simpson quadrature (`quad`), which evaluates all the midpoints of
-one level in one array call, and sampled by linear interpolation of the
-tabulated inverse CDF.
+The normalized law has density p_t(x) = (2^(t-1) / (2 pi)) Gamma((t+ix)/2)
+Gamma((t-ix)/2) / Gamma(t), an even probability density with MGF (sec s)^t;
+the order-n process at time t is sigma X_tau with sigma = a and
+tau = 2 n t/(n^3 (n-1)).  `SecantDensity(t)` and `SecantDensity(t, n)` are
+their one evaluator: it computes the terms free of x once and evaluates the
+rest with `log_gamma_array`, a numpy Lanczos sum, on the distinct values of
+|x|, so the density is even by construction.  `complex_log_gamma` and a call
+at one point are one-point calls of the same code.  The density is integrated
+by a level-by-level adaptive Simpson quadrature (`quad`), which evaluates
+all the midpoints of one level in one array call, and sampled by linear
+interpolation of the tabulated inverse CDF.
 
 `mgf_eval` is the one scalar formula; `mgf_sweep` is its array form over the
 distinct |s|, bit for bit, since cos and s*s do not see the sign of s.
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import order_constants
+from .algebra import order_constants, require_order
 from .errors import DomainError, OutOfScopeError
 from .mupoly import MU, MuPoly
 from .rewrite import Word, reduce_truncated
@@ -62,8 +63,7 @@ def riccati_split(n: int, order: int = 16) -> SplittingSolution:
     For n = 1 this is V = s, W = mu s^2/2; for n >= 2 the closed forms are
     V = tan(a s)/a and W = -(2 n mu / (n^3(n-1))) ln cos(a s).
     """
-    if n < 1:
-        raise DomainError(f"Fock order must be >= 1, got {n}")
+    require_order(n)
     if order < 0:
         raise DomainError(f"series order must be >= 0, got {order}")
     beta = order_constants(n)[1]
@@ -161,8 +161,7 @@ def mgf_eval(n: int, s: float, t: float) -> float:
     n = 1: exp(s^2 t / 2); n >= 2: (sec(a s))^(2 n t/(n^3(n-1))) with
     a = sqrt(n^3(n-1)/2), valid for |s| a < pi/2, the pole of V_n and W_n.
     """
-    if n < 1:
-        raise DomainError(f"Fock order must be >= 1, got {n}")
+    require_order(n)
     if t <= 0:
         raise DomainError(f"time must be positive, got t={t}")
     u = float(s)  # s itself is kept for the overflow message
@@ -264,17 +263,8 @@ def density_p(t: float, x: float) -> float:
 
 
 def scaled_density(n: int, t: float) -> "SecantDensity":
-    """Density y -> p_tau(y / sigma) / sigma of the order-n field process
-    sigma X_tau, with sigma = sqrt(n^3(n-1)/2) and tau = 2 n t/(n^3(n-1)).
-
-    A value whose p_tau overflows a float before the division by sigma is
-    taken as exp(log p_tau - log sigma); a refusal names this t."""
-    if n < 2:
-        raise OutOfScopeError(f"the scaled density concerns n >= 2, got n={n}")
-    if t <= 0:
-        raise DomainError(f"time must be positive, got t={t}")
-    c = order_constants(n)[1]
-    return SecantDensity(n * t / c, scale=math.sqrt(c), shown_t=t)
+    """`SecantDensity(t, n)`, the law of the order-n field process at time t."""
+    return SecantDensity(t, n)
 
 
 # Largest t the density accepts.  The rounding error of log Gamma(t), which
@@ -303,27 +293,37 @@ class SecantDensity:
     density is even by construction, refusals included.  A call at one point
     is `values` on that point.
 
-    With `scale` sigma it is the density y -> p_t(y/sigma)/sigma of sigma X_t
-    (see `scaled_density`), and its refusals name `shown_t`.
+    With n >= 2 it is y -> p_tau(y/sigma)/sigma, the law of sigma X_tau with
+    sigma = sqrt(n^3(n-1)/2) and tau = 2nt/(n^3(n-1)) = `self.t` (the exponent
+    takes log sigma where p_tau alone overflows).  Refusals name the t passed.
 
     The tail of p_t decays like x^(t-1) exp(-pi x / 2); past the returned
     cutoff the discarded mass is below the requested epsilon.
     """
 
-    def __init__(self, t: float, *, scale: float = 1.0, shown_t: Optional[float] = None):
-        t = float(t)
+    def __init__(self, t: float, n: Optional[int] = None):
+        if n is None:
+            t = float(t)
+        elif n < 2:
+            raise OutOfScopeError(f"the scaled density concerns n >= 2, got n={n}")
         if t <= 0:
             raise DomainError(f"time must be positive, got t={t}")
-        if not t <= MAX_DENSITY_T:
+        self.shown_t, self.t, self.scale = t, t, 1.0
+        where = f"the density's time t={t}"
+        if n is not None:
+            c = order_constants(n)[1]
+            self.t, self.scale = float(n * t / c), math.sqrt(c)
+            where = f"the order-{n} density's time t={t} gives the base law's tau={self.t}"
+            if self.t == 0:
+                raise DomainError(f"{where}: 2nt/(n^3(n-1)) underflows to 0")
+            where += ", which"
+        if not self.t <= MAX_DENSITY_T:
             raise DomainError(
-                f"the density's time t={t} exceeds {MAX_DENSITY_T:g}, "
+                f"{where} exceeds {MAX_DENSITY_T:g}, "
                 "past which its relative error is not held below 1e-10"
             )
-        self.t = t
-        self.scale = scale
-        self.shown_t = t if shown_t is None else shown_t
-        self._lead = (t - 1) * math.log(2) - math.log(2 * math.pi)
-        self._log_gamma_t = complex_log_gamma(complex(t, 0))
+        self._lead = (self.t - 1) * math.log(2) - math.log(2 * math.pi)
+        self._log_gamma_t = complex_log_gamma(complex(self.t, 0))
 
     def __call__(self, x: float) -> float:
         return float(self.values([x])[0])

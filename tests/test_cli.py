@@ -20,7 +20,7 @@ from oracles import mu_poly_from_strings
 from rhpwn import cli, jsonio
 from rhpwn.algebra import RHPWN, WINFTY
 from rhpwn.cli import main
-from rhpwn.errors import SchemaError
+from rhpwn.errors import DomainError
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -342,8 +342,19 @@ def test_grid_cap(capsys, monkeypatch):
     assert "more than the cap 1000000" in json.loads(capsys.readouterr().err)["error"]
     monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 5)
     assert len(cli_mod._parse_grid("0:4:1")) == 5
-    with pytest.raises(SchemaError):
+    with pytest.raises(DomainError):
         cli_mod._parse_grid("0:5:1")
+
+
+def test_grid_refusal_names_no_json_pointer(capsys):
+    # a grid is a command-line flag, not a payload: no pointer, no ": " prefix
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["density", "--t", "1", "--x-grid", "1:0:1"]) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        '{"error": "grid \'1:0:1\' must have step > 0 and stop >= start"}\n'
+    )
 
 
 def _grid_by_loop(spec):
@@ -590,6 +601,15 @@ def test_word_length_cap(capsys, monkeypatch):
     assert_refused(capsys, ["vacuum-moment"], "vacuum-moment word length 257 exceeds the cap 256")
 
 
+def test_word_length_cap_comes_before_decoding(capsys, monkeypatch):
+    import rhpwn.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.jsonio, "decode_word", _never)
+    word = [{"n": 0, "k": 1}] + [{"n": 1, "k": 0, "function": "not decoded"}] * 256
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(word)))
+    assert_refused(capsys, ["vacuum-moment"], "vacuum-moment word length 257 exceeds the cap 256")
+
+
 def test_inner_product_at_the_bound_is_computed(capsys, monkeypatch):
     # |f|^2 = 1/4 - 10^-20 at order 2 (bound 1/4): <psi(f), psi(f)> =
     # (1 - 4|f|^2)^(-1/2) = 5e9, once the cancelled float base is redone exactly
@@ -659,6 +679,28 @@ def test_scaled_density_divides_by_sigma_before_it_overflows(capsys):
     # the first refused point of the grid, in grid order, is named
     assert_refused(capsys, ["density", "--n", "3", "--t", "2e-309", "--x-grid=-1e-310:1e-310:1e-310"],
                    "the density at t=2e-309, x=-1e-310 overflows a float")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # tau = 2nt/(n^3(n-1)) = 50000 passes the base law's bound
+        (["--n", "2", "--t", "100000"],
+         "the order-2 density's time t=100000.0 gives the base law's tau=50000.0, which "
+         "exceeds 10000, past which its relative error is not held below 1e-10"),
+        # tau = 5e-324 / 224 underflows to 0
+        (["--n", "8", "--t", "5e-324"],
+         "the order-8 density's time t=5e-324 gives the base law's tau=0.0: "
+         "2nt/(n^3(n-1)) underflows to 0"),
+    ],
+    ids=["tau-past-the-bound", "tau-underflows"],
+)
+def test_order_n_density_refusal_names_the_t_passed(capsys, argv, message):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["density"] + argv + ["--x-grid", "0:1:1"]) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == json.dumps({"error": message}) + "\n"
 
 
 def _dispatch_features():

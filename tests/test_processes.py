@@ -427,6 +427,23 @@ def test_scaled_density_substitution():
     assert scaled_density(3, t)(y) == scaled_density(3, t)(-y)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_order_n_density_bound_is_on_tau_and_names_t(n):
+    # tau = n t / c reaches MAX_DENSITY_T exactly at t = MAX_DENSITY_T c / n
+    c = order_constants(n)[1]
+    t = processes.MAX_DENSITY_T * c / n
+    dens = SecantDensity(t, n)
+    assert (dens.t, dens.scale) == (n * t / c, math.sqrt(c))
+    assert dens.t <= processes.MAX_DENSITY_T
+    past = math.nextafter(t, math.inf)
+    with pytest.raises(DomainError, match=rf"^the order-{n} density's time t={past!r} gives "):
+        SecantDensity(past, n)
+    with pytest.raises(DomainError, match=rf"^time must be positive, got t=0$"):
+        SecantDensity(0, n)
+    with pytest.raises(OutOfScopeError, match=r"^the scaled density concerns n >= 2, got n=1$"):
+        SecantDensity(-1.0, 1)
+
+
 @pytest.mark.parametrize("n,s", [(2, 0.3), (3, 0.15)])
 def test_scaled_density_mgf(n, s):
     t = 1.5
