@@ -10,8 +10,9 @@ Wire formats (exact rationals are encoded as "p/q" strings):
 Decoders validate shape strictly (unknown fields rejected) and raise
 SchemaError carrying the JSON-pointer of the offending node.  Every exact
 rational is read by `scalars.read_rational`, whose memo reads a repeated short
-string once across calls; the step function decoder builds a pointer only
-when it raises.
+string once across calls.  The step function decoder is one loop over the
+pieces that checks each and drops the zero ones; it builds a pointer only
+when it raises, and the pieces are sorted only when they come out of order.
 
 `write_json` is the one writer of the command line's JSON: the bytes the
 standard `json` module writes with indent=2, ASCII only, streamed, for dicts
@@ -30,11 +31,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
-from .errors import EmptyIntervalError, IndexRangeError, SchemaError
+from .errors import IndexRangeError, SchemaError
 from .mupoly import MuPoly
 from .rewrite import Word
 from .scalars import gaussian_from_ratios, rational_str, read_rational
-from .stepfn import CHI, StepFunction
+from .stepfn import CHI, StepFunction, _interval
 
 
 def _require_object(value, pointer, required, optional=()):
@@ -80,49 +81,51 @@ _PIECE_FIELDS = frozenset(("a", "b", "re", "im"))
 
 
 def decode_step_function(value, pointer="") -> StepFunction:
-    """The step function of a list of pieces, read as ints.
+    """The step function of a list of pieces, read as ints in one loop.
 
-    Each field goes through `read_rational`, whose memo reads a repeated short
-    string once.  Each piece is read and its interval checked before the
-    next is read; a straddle or an overlap is reported once every piece has
-    been read.  The JSON pointer of a piece or a field is built only to
-    raise, at the first refused field.
+    Each piece in turn: its shape, through its fields a, b and re and its
+    length; its four fields, each through `read_rational`, whose memo reads a
+    repeated short string once; then its interval, refused if empty or
+    reversed.  A zero piece is then dropped.  Once every piece is read,
+    `StepFunction.from_rows` refuses a straddle, then an overlap, and sorts
+    the pieces only when one starts before the previous one ends, so pieces
+    in the order `encode_step_function` writes them are never sorted.  The
+    JSON pointer of a piece or a field is built only to raise, at the first
+    fault.
     """
-    items = _require_list(value, pointer)
-    i = 0
-
-    def rows():
-        nonlocal i
-        for i, item in enumerate(items):
-            if not (type(item) is dict and _PIECE_FIELDS.issuperset(item)
-                    and "a" in item and "b" in item and "re" in item):
-                _require_object(item, f"{pointer}/{i}", _PIECE_REQUIRED, _PIECE_FIELDS)
-            try:
-                a, b = read_rational(item["a"]), read_rational(item["b"])
-                re, im = read_rational(item["re"]), read_rational(item.get("im", "0"))
-            except (TypeError, ValueError):
-                for key in ("a", "b", "re", "im"):  # raises at the refused field
-                    _read_rational(item.get(key, "0"), f"{pointer}/{i}/{key}")
-                raise
-            yield a, b, gaussian_from_ratios(*re, *im)
-
+    rows = []
+    for i, item in enumerate(_require_list(value, pointer)):
+        try:
+            a, b, re, im = item["a"], item["b"], item["re"], item.get("im", "0")
+            shaped = len(item) == 3 + ("im" in item)
+        except (KeyError, TypeError):
+            shaped = False
+        if not shaped:  # not an object, a field missing or one unknown: raises
+            _require_object(item, f"{pointer}/{i}", _PIECE_REQUIRED, _PIECE_FIELDS)
+        try:
+            a, b, re, im = read_rational(a), read_rational(b), read_rational(re), read_rational(im)
+        except (TypeError, ValueError):
+            for key in ("a", "b", "re", "im"):  # raises at the refused field
+                _read_rational(item.get(key, "0"), f"{pointer}/{i}/{key}")
+            raise
+        if a[0] * b[1] >= b[0] * a[1]:
+            raise SchemaError(f"{pointer}/{i}", f"empty interval {_interval(a, b)}")
+        if re[0] or im[0]:
+            rows.append((a, b, gaussian_from_ratios(*re, *im)))
     try:
-        return StepFunction.from_rows(rows())
-    except EmptyIntervalError as exc:
-        raise SchemaError(f"{pointer}/{i}", f"empty interval {exc.interval}") from None
-    except SchemaError:
-        raise
+        return StepFunction.from_rows(rows)
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from exc
 
 
 def encode_step_function(fn: StepFunction) -> list:
-    """The pieces of `fn`: its endpoints are stored reduced and written as
-    they are; each coefficient part is reduced over the shared denominator."""
+    """The pieces of `fn`: its endpoints are stored in lowest terms and
+    written as they are; each coefficient part is reduced over the shared
+    denominator."""
     return [
-        {"a": rational_str(*a), "b": rational_str(*b),
+        {"a": f"{an}/{ad}" if ad != 1 else str(an), "b": f"{bn}/{bd}" if bd != 1 else str(bn),
          "re": rational_str(re, den), "im": rational_str(im, den)}
-        for a, b, (re, im, den) in fn.rows
+        for (an, ad), (bn, bd), (re, im, den) in fn.rows
     ]
 
 

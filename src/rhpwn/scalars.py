@@ -36,15 +36,14 @@ def read_rational(value) -> tuple:
     MEMO_TEXT_LENGTH characters is read through a memo of the last MEMO_SIZE
     distinct such strings that read; a refused one raises each time.
     """
+    if isinstance(value, str):
+        return _read_memo(value) if len(value) <= MEMO_TEXT_LENGTH else _read(value)
     kind = type(value)
     if kind is Fraction:
         return value.numerator, value.denominator
     if kind is int:
         return value, 1
-    if isinstance(value, str):
-        if len(value) <= MEMO_TEXT_LENGTH:
-            return _read_memo(value)
-    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise TypeError(f"cannot read a rational from {value!r}")
     return _read(value)
 
@@ -104,7 +103,10 @@ def gaussian(value) -> tuple:
 
 def gaussian_from_ratios(re_num: int, re_den: int, im_num: int, im_den: int) -> tuple:
     """re_num/re_den + i im_num/im_den, each ratio in lowest terms, as ints
-    (re, im, den) in lowest terms: over the lcm of the two denominators."""
+    (re, im, den) in lowest terms: over the lcm of the two denominators,
+    which is the one denominator when they are equal."""
+    if re_den == im_den:
+        return re_num, im_num, re_den
     den = lcm(re_den, im_den)
     return re_num * (den // re_den), im_num * (den // im_den), den
 

@@ -88,6 +88,8 @@ def _validated(rows) -> tuple:
     Each row is checked as it is read for an empty or reversed interval
     (EmptyIntervalError); once all are read, a nonzero piece straddling 0 and
     then overlapping nonzero pieces raise ValueError.  Zero pieces are dropped.
+    Kept pieces that each start at or after the end of the one before are
+    merged as they come; any others are sorted by `_keyed` first.
     """
     kept = []
     for a, b, c in rows:
@@ -95,9 +97,16 @@ def _validated(rows) -> tuple:
             raise EmptyIntervalError(_interval(a, b))
         if c[0] or c[1]:
             kept.append((a, b, c))
+    ordered = True
+    end = None
     for a, b, _ in kept:
         if a[0] < 0 < b[0]:
             raise ValueError(f"piece {_interval(a, b)} straddles 0; test functions vanish at zero")
+        if end and a[0] * end[1] < end[0] * a[1]:
+            ordered = False
+        end = b
+    if ordered:
+        return _merged(kept)
     (keyed,), points = _keyed([kept])
     keyed.sort(key=lambda k: (k[0], k[1]))
     for (_, pb, _), (a, b, _) in zip(keyed, keyed[1:]):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import COEFFS, rand_element, rand_step_function, step_functions
 from oracles import decode_mu_poly, encode_word, read_step_payload
-from rhpwn import cli, jsonio, scalars
+from rhpwn import cli, jsonio, scalars, stepfn
 from rhpwn.algebra import RHPWN, WINFTY, GeneratorIndex
 from rhpwn.errors import SchemaError
 from rhpwn.mupoly import MU, MuPoly
@@ -568,6 +568,49 @@ def test_decoder_refuses_at_the_oracle_first_fault(pieces):
         jsonio.decode_step_function(pieces, "/f")
     assert err.value.pointer == pointer
     assert str(err.value) == f"{pointer}: {message}"
+
+
+def _in_order(pieces):
+    return sorted(pieces, key=lambda piece: Fraction(piece["a"]))
+
+
+def _is_zero_piece(piece):
+    return Fraction(piece["re"]) == Fraction(piece.get("im", 0)) == 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_step_payloads())
+def test_only_pieces_out_of_order_take_the_keyed_sort(pieces):
+    # the kept pieces of a sorted copy never reach _keyed, and the drawn
+    # order reaches it exactly when a kept piece starts before the last ends
+    kept = [piece for piece in pieces if not _is_zero_piece(piece)]
+    starts = [Fraction(piece["a"]) for piece in kept]
+    keyed = []
+    real = stepfn._keyed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepfn, "_keyed", lambda row_lists: keyed.append(row_lists) or real(row_lists))
+        rows = jsonio.decode_step_function(pieces, "/f").rows
+        assert bool(keyed) == (starts != sorted(starts))
+        mp.setattr(stepfn, "_keyed", None)  # a call raises TypeError
+        assert jsonio.decode_step_function(_in_order(pieces), "/f").rows == rows
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_step_payloads(min_pieces=1), st.data())
+def test_an_overlap_in_either_input_order_is_the_one_the_sort_finds(pieces, data):
+    # [m, b) overlaps a kept piece [a, b) of a sorted payload, just after it
+    # or just before it in input order: either way the keyed sort puts it
+    # second and names it
+    pieces = _in_order(pieces)
+    i = data.draw(st.integers(0, len(pieces) - 1))
+    pieces[i] = dict(pieces[i], re="1")
+    a, b = Fraction(pieces[i]["a"]), Fraction(pieces[i]["b"])
+    inner = {"a": str((a + b) / 2), "b": pieces[i]["b"], "re": "-1/2"}
+    for pair in ([pieces[i], inner], [inner, pieces[i]]):
+        with pytest.raises(SchemaError) as err:
+            jsonio.decode_step_function(pieces[:i] + pair + pieces[i + 1:], "/f")
+        assert err.value.pointer == "/f"
+        assert str(err.value) == f"/f: overlapping pieces at [{(a + b) / 2}, {b})"
 
 
 def test_each_distinct_string_is_read_once():

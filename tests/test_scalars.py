@@ -89,6 +89,51 @@ def test_read_rational_keeps_only_short_strings_that_read():
         read_rational(True)
 
 
+class _Text(str):
+    pass
+
+
+def test_read_rational_reads_each_type_as_before():
+    memo = scalars._read_memo
+    memo.cache_clear()
+    assert read_rational(1) == read_rational(1.0) == read_rational(Fraction(2, 2)) == (1, 1)
+    assert read_rational(-0.375) == (-3, 8)
+    for value in (True, False, None, 1j, [1]):
+        with pytest.raises(TypeError):
+            read_rational(value)
+    assert memo.cache_info()[:2] == (0, 0)
+    # a str subclass is a string: read, and kept, as its text
+    assert read_rational(_Text("6/8")) == read_rational(_Text("6/8")) == (3, 4)
+    assert memo.cache_info()[:2] == (1, 1)
+    # MEMO_TEXT_LENGTH characters are kept; one more goes past the memo
+    edge = "6/8".rjust(scalars.MEMO_TEXT_LENGTH)
+    past = "6/8".rjust(scalars.MEMO_TEXT_LENGTH + 1)
+    assert read_rational(edge) == read_rational(past) == (3, 4)
+    assert memo.cache_info()[:2] == (1, 2)
+
+
+def _ratio(den):
+    """num/den in lowest terms."""
+    return st.integers(-99, 99).filter(lambda num: gcd(num, den) == 1).map(lambda num: (num, den))
+
+
+_DENOMINATORS = st.integers(1, 60)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(
+    _DENOMINATORS.flatmap(lambda den: st.tuples(_ratio(den), _ratio(den))),
+    st.tuples(_DENOMINATORS.flatmap(_ratio), _DENOMINATORS.flatmap(_ratio)),
+))
+def test_gaussian_from_ratios_is_fraction_arithmetic(ratios):
+    # the triple is the one with these values, den > 0 and gcd(re, im, den) = 1
+    (re_num, re_den), (im_num, im_den) = ratios
+    re, im, den = scalars.gaussian_from_ratios(re_num, re_den, im_num, im_den)
+    assert Fraction(re, den) == Fraction(re_num, re_den)
+    assert Fraction(im, den) == Fraction(im_num, im_den)
+    assert den > 0 and gcd(re, im, den) == 1
+
+
 def test_parse_fraction_caps_the_decimal_exponent():
     # 10**e is computed in full, so a long exponent is refused before it is read
     assert parse_fraction("1e4300") == 10**4300
