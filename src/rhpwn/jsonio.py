@@ -31,11 +31,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import RHPWN, WINFTY, AlgebraElement, GeneratorIndex
-from .errors import IndexRangeError, SchemaError
+from .errors import EmptyIntervalError, IndexRangeError, SchemaError
 from .mupoly import MuPoly
 from .rewrite import Word
-from .scalars import gaussian_from_ratios, rational_str, read_rational
-from .stepfn import CHI, StepFunction, _interval
+from .scalars import gaussian_from_ratios, rational_str, read_rational, reduced_str
+from .stepfn import CHI, StepFunction, require_interval
 
 
 def _require_object(value, pointer, required, optional=()):
@@ -85,8 +85,9 @@ def decode_step_function(value, pointer="") -> StepFunction:
 
     Each piece in turn: its shape, through its fields a, b and re and its
     length; its four fields, each through `read_rational`, whose memo reads a
-    repeated short string once; then its interval, refused if empty or
-    reversed.  A zero piece is then dropped.  Once every piece is read,
+    repeated short string once; then its interval, through
+    `stepfn.require_interval`, the one home of the empty-interval rule.  A
+    zero piece is then dropped.  Once every piece is read,
     `StepFunction.from_rows` refuses a straddle, then an overlap, and sorts
     the pieces only when one starts before the previous one ends, so pieces
     in the order `encode_step_function` writes them are never sorted.  The
@@ -104,12 +105,13 @@ def decode_step_function(value, pointer="") -> StepFunction:
             _require_object(item, f"{pointer}/{i}", _PIECE_REQUIRED, _PIECE_FIELDS)
         try:
             a, b, re, im = read_rational(a), read_rational(b), read_rational(re), read_rational(im)
+            require_interval(a, b)
+        except EmptyIntervalError as exc:
+            raise SchemaError(f"{pointer}/{i}", f"empty interval {exc.interval}") from None
         except (TypeError, ValueError):
             for key in ("a", "b", "re", "im"):  # raises at the refused field
                 _read_rational(item.get(key, "0"), f"{pointer}/{i}/{key}")
             raise
-        if a[0] * b[1] >= b[0] * a[1]:
-            raise SchemaError(f"{pointer}/{i}", f"empty interval {_interval(a, b)}")
         if re[0] or im[0]:
             rows.append((a, b, gaussian_from_ratios(*re, *im)))
     try:
@@ -120,12 +122,12 @@ def decode_step_function(value, pointer="") -> StepFunction:
 
 def encode_step_function(fn: StepFunction) -> list:
     """The pieces of `fn`: its endpoints are stored in lowest terms and
-    written as they are; each coefficient part is reduced over the shared
-    denominator."""
+    written by `reduced_str`, with no gcd; each coefficient part is reduced
+    over the shared denominator."""
     return [
-        {"a": f"{an}/{ad}" if ad != 1 else str(an), "b": f"{bn}/{bd}" if bd != 1 else str(bn),
+        {"a": reduced_str(*a), "b": reduced_str(*b),
          "re": rational_str(re, den), "im": rational_str(im, den)}
-        for (an, ad), (bn, bd), (re, im, den) in fn.rows
+        for a, b, (re, im, den) in fn.rows
     ]
 
 

@@ -85,9 +85,12 @@ def parse_fraction(value) -> Fraction:
 def rational_str(num: int, den: int) -> str:
     """num/den as str(Fraction(num, den)) spells it: "p" or "p/q"."""
     g = gcd(num, den)
-    if g != den:
-        return f"{num // g}/{den // g}"
-    return str(num // g)
+    return reduced_str(num // g, den // g)
+
+
+def reduced_str(num: int, den: int) -> str:
+    """`rational_str` of num/den already in lowest terms with den > 0, with no gcd."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def gaussian(value) -> tuple:
@@ -103,10 +106,7 @@ def gaussian(value) -> tuple:
 
 def gaussian_from_ratios(re_num: int, re_den: int, im_num: int, im_den: int) -> tuple:
     """re_num/re_den + i im_num/im_den, each ratio in lowest terms, as ints
-    (re, im, den) in lowest terms: over the lcm of the two denominators,
-    which is the one denominator when they are equal."""
-    if re_den == im_den:
-        return re_num, im_num, re_den
+    (re, im, den) in lowest terms: over the lcm of the two denominators."""
     den = lcm(re_den, im_den)
     return re_num * (den // re_den), im_num * (den // im_den), den
 

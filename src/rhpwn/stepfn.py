@@ -82,10 +82,17 @@ def _interval(a, b) -> str:
     return f"[{rational_str(*a)}, {rational_str(*b)})"
 
 
+def require_interval(a, b) -> None:
+    """Refuse [a, b), its endpoints reduced ints (num, den) with den > 0, when
+    it is empty or reversed: the one home of that rule, for every input."""
+    if a[0] * b[1] >= b[0] * a[1]:
+        raise EmptyIntervalError(_interval(a, b))
+
+
 def _validated(rows) -> tuple:
     """Canonical rows from rows in any order: the one check of every input.
 
-    Each row is checked as it is read for an empty or reversed interval
+    Each row is checked as it is read by `require_interval`
     (EmptyIntervalError); once all are read, a nonzero piece straddling 0 and
     then overlapping nonzero pieces raise ValueError.  Zero pieces are dropped.
     Kept pieces that each start at or after the end of the one before are
@@ -93,8 +100,7 @@ def _validated(rows) -> tuple:
     """
     kept = []
     for a, b, c in rows:
-        if a[0] * b[1] >= b[0] * a[1]:
-            raise EmptyIntervalError(_interval(a, b))
+        require_interval(a, b)
         if c[0] or c[1]:
             kept.append((a, b, c))
     ordered = True

@@ -134,6 +134,15 @@ def test_gaussian_from_ratios_is_fraction_arithmetic(ratios):
     assert den > 0 and gcd(re, im, den) == 1
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_rational_str_and_reduced_str_spell_as_fraction(num, den):
+    text = str(Fraction(num, den))
+    assert scalars.rational_str(num, den) == text
+    g = gcd(num, den)
+    assert scalars.reduced_str(num // g, den // g) == text
+
+
 def test_parse_fraction_caps_the_decimal_exponent():
     # 10**e is computed in full, so a long exponent is refused before it is read
     assert parse_fraction("1e4300") == 10**4300
